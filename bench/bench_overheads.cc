@@ -18,7 +18,6 @@
 #include "core/gpht_predictor.hh"
 #include "core/last_value_predictor.hh"
 #include "core/phase_classifier.hh"
-#include "core/set_assoc_gpht_predictor.hh"
 #include "core/variable_window_predictor.hh"
 #include "cpu/core.hh"
 #include "kernel/phase_kernel_module.hh"
@@ -118,8 +117,7 @@ BENCHMARK(BM_GphtPredictorMissPath);
 void
 BM_SetAssocGphtMissPath(benchmark::State &state)
 {
-    SetAssocGphtPredictor predictor(
-        8, static_cast<size_t>(state.range(0)), 4);
+    GphtPredictor predictor(8, static_cast<size_t>(state.range(0)), 4);
     Rng rng(6);
     for (auto _ : state) {
         predictor.observePhase(

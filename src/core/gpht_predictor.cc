@@ -9,15 +9,20 @@
 namespace livephase
 {
 
-GphtPredictor::GphtPredictor(size_t gphr_depth, size_t pht_entries)
-    : depth(gphr_depth), capacity(pht_entries)
+GphtPredictor::GphtPredictor(size_t gphr_depth, size_t sets,
+                             size_t ways)
+    : depth(gphr_depth), num_sets(sets), num_ways(ways),
+      capacity(sets * ways)
 {
     if (depth == 0)
         fatal("GphtPredictor: GPHR depth must be non-zero");
-    if (capacity == 0)
-        fatal("GphtPredictor: PHT must have at least one entry");
+    if (num_sets == 0 || num_ways == 0)
+        fatal("GphtPredictor: PHT geometry %zux%zu has no entries",
+              num_sets, num_ways);
     gphr.assign(depth, INVALID_PHASE);
-    pht.assign(capacity, PhtEntry{});
+    tags.assign(capacity * depth, INVALID_PHASE);
+    ages.assign(capacity, -1);
+    preds.assign(capacity, INVALID_PHASE);
     gphr_fill = 0;
     lru_clock = 0;
     pending_train = -1;
@@ -50,8 +55,7 @@ GphtPredictor::step(const PhaseSample &sample)
     // 1. Train the entry consulted (or installed) last period with
     //    the phase that actually followed its pattern.
     if (pending_train >= 0)
-        pht[static_cast<size_t>(pending_train)].prediction =
-            sample.phase;
+        preds[static_cast<size_t>(pending_train)] = sample.phase;
     pending_train = -1;
 
     // 2. Shift the observed phase into the GPHR.
@@ -68,33 +72,33 @@ GphtPredictor::step(const PhaseSample &sample)
         return;
     }
 
-    // 4. Associative PHT lookup.
+    // 4. Associative lookup within the GPHR's set.
     ++counters.lookups;
-    const int hit = lookup();
+    const size_t base = setBase();
+    const int64_t hit = lookup(base);
     if (hit >= 0) {
         ++counters.hits;
-        PhtEntry &entry = pht[static_cast<size_t>(hit)];
-        entry.age = ++lru_clock;
+        const size_t entry = static_cast<size_t>(hit);
+        ages[entry] = ++lru_clock;
         // An entry installed on a miss has not been trained yet; its
         // prediction is invalid until its pattern recurs after one
         // training step. Fall back to last-value in that window.
-        current_prediction = entry.prediction != INVALID_PHASE
-            ? entry.prediction : gphr[0];
+        current_prediction = preds[entry] != INVALID_PHASE
+            ? preds[entry] : gphr[0];
         pending_train = hit;
         return;
     }
 
     // 5. Miss: predict last value and install the current pattern.
     current_prediction = gphr[0];
-    const int victim = victimIndex();
-    PhtEntry &entry = pht[static_cast<size_t>(victim)];
-    if (entry.age >= 0)
+    const size_t victim = victimIndex(base);
+    if (ages[victim] >= 0)
         ++counters.replacements;
     ++counters.insertions;
-    entry.tag = gphr;
-    entry.prediction = INVALID_PHASE;
-    entry.age = ++lru_clock;
-    pending_train = victim;
+    std::copy(gphr.begin(), gphr.end(), &tags[victim * depth]);
+    preds[victim] = INVALID_PHASE;
+    ages[victim] = ++lru_clock;
+    pending_train = static_cast<int64_t>(victim);
 }
 
 PhaseId
@@ -108,8 +112,9 @@ GphtPredictor::reset()
 {
     std::fill(gphr.begin(), gphr.end(), INVALID_PHASE);
     gphr_fill = 0;
-    for (auto &entry : pht)
-        entry = PhtEntry{};
+    std::fill(tags.begin(), tags.end(), INVALID_PHASE);
+    std::fill(ages.begin(), ages.end(), -1);
+    std::fill(preds.begin(), preds.end(), INVALID_PHASE);
     lru_clock = 0;
     pending_train = -1;
     current_prediction = INVALID_PHASE;
@@ -119,18 +124,18 @@ GphtPredictor::reset()
 std::string
 GphtPredictor::name() const
 {
-    return "GPHT_" + std::to_string(depth) + "_" +
-        std::to_string(capacity);
+    if (num_sets == 1)
+        return "GPHT_" + std::to_string(depth) + "_" +
+            std::to_string(capacity);
+    return "GPHTsa_" + std::to_string(depth) + "_" +
+        std::to_string(num_sets) + "x" + std::to_string(num_ways);
 }
 
 size_t
 GphtPredictor::phtOccupancy() const
 {
-    size_t valid = 0;
-    for (const auto &entry : pht)
-        if (entry.age >= 0)
-            ++valid;
-    return valid;
+    return static_cast<size_t>(std::count_if(
+        ages.begin(), ages.end(), [](int64_t age) { return age >= 0; }));
 }
 
 std::vector<PhaseId>
@@ -142,6 +147,10 @@ GphtPredictor::gphrContents() const
 void
 GphtPredictor::saveState(std::ostream &os) const
 {
+    if (num_sets > 1)
+        fatal("GphtPredictor::saveState: %s is set-associative; the "
+              "state format holds only fully associative tables",
+              name().c_str());
     os << "GPHT-STATE 1\n";
     os << depth << ' ' << capacity << '\n';
     os << gphr_fill << ' ' << lru_clock << ' ' << pending_train
@@ -149,14 +158,12 @@ GphtPredictor::saveState(std::ostream &os) const
     for (PhaseId p : gphr)
         os << p << ' ';
     os << '\n';
-    for (const PhtEntry &entry : pht) {
-        os << entry.age << ' ' << entry.prediction;
-        if (entry.age >= 0) {
-            // Tags of invalid entries are empty; only valid ones
-            // carry depth phases.
-            for (PhaseId p : entry.tag)
-                os << ' ' << p;
-        }
+    for (size_t e = 0; e < capacity; ++e) {
+        os << ages[e] << ' ' << preds[e];
+        // Only valid entries carry their depth tag phases.
+        if (ages[e] >= 0)
+            for (size_t i = 0; i < depth; ++i)
+                os << ' ' << tags[e * depth + i];
         os << '\n';
     }
 }
@@ -164,6 +171,10 @@ GphtPredictor::saveState(std::ostream &os) const
 void
 GphtPredictor::loadState(std::istream &is)
 {
+    if (num_sets > 1)
+        fatal("GphtPredictor::loadState: %s is set-associative; the "
+              "state format holds only fully associative tables",
+              name().c_str());
     std::string magic;
     int version = 0;
     if (!(is >> magic >> version) || magic != "GPHT-STATE" ||
@@ -180,48 +191,64 @@ GphtPredictor::loadState(std::istream &is)
     if (!(is >> gphr_fill >> lru_clock >> pending_train >>
           current_prediction) ||
         gphr_fill > depth ||
-        pending_train >= static_cast<int>(capacity)) {
+        pending_train >= static_cast<int64_t>(capacity)) {
         fatal("GphtPredictor::loadState: corrupt predictor state");
     }
     for (PhaseId &p : gphr)
         if (!(is >> p))
             fatal("GphtPredictor::loadState: truncated GPHR");
-    for (PhtEntry &entry : pht) {
-        if (!(is >> entry.age >> entry.prediction))
+    for (size_t e = 0; e < capacity; ++e) {
+        if (!(is >> ages[e] >> preds[e]))
             fatal("GphtPredictor::loadState: truncated PHT");
-        entry.tag.clear();
-        if (entry.age >= 0) {
-            entry.tag.resize(depth);
-            for (PhaseId &p : entry.tag)
-                if (!(is >> p))
+        PhaseId *tag = &tags[e * depth];
+        std::fill(tag, tag + depth, INVALID_PHASE);
+        if (ages[e] >= 0)
+            for (size_t i = 0; i < depth; ++i)
+                if (!(is >> tag[i]))
                     fatal("GphtPredictor::loadState: truncated tag");
-        }
     }
     counters = Stats{};
 }
 
-int
-GphtPredictor::lookup() const
+size_t
+GphtPredictor::setBase() const
 {
-    for (size_t i = 0; i < capacity; ++i) {
-        if (pht[i].age >= 0 && pht[i].tag == gphr)
-            return static_cast<int>(i);
+    if (num_sets == 1)
+        return 0;
+    // FNV-1a over the history register; cheap and well mixed for
+    // the tiny phase alphabet.
+    uint64_t hash = 1469598103934665603ULL;
+    for (PhaseId p : gphr) {
+        hash ^= static_cast<uint64_t>(static_cast<uint32_t>(p));
+        hash *= 1099511628211ULL;
+    }
+    return static_cast<size_t>(hash % num_sets) * num_ways;
+}
+
+int64_t
+GphtPredictor::lookup(size_t base) const
+{
+    const PhaseId *key = gphr.data();
+    for (size_t e = base; e < base + num_ways; ++e) {
+        const PhaseId *tag = &tags[e * depth];
+        // Most tags already differ in the newest phase; test it
+        // before paying for the full compare.
+        if (tag[0] == key[0] && ages[e] >= 0 &&
+            std::equal(tag + 1, tag + depth, key + 1))
+            return static_cast<int64_t>(e);
     }
     return -1;
 }
 
-int
-GphtPredictor::victimIndex()
+size_t
+GphtPredictor::victimIndex(size_t base) const
 {
-    int victim = -1;
-    int64_t oldest = 0;
-    for (size_t i = 0; i < capacity; ++i) {
-        if (pht[i].age < 0)
-            return static_cast<int>(i); // invalid entry available
-        if (victim < 0 || pht[i].age < oldest) {
-            victim = static_cast<int>(i);
-            oldest = pht[i].age;
-        }
+    size_t victim = base;
+    for (size_t e = base; e < base + num_ways; ++e) {
+        if (ages[e] < 0)
+            return e; // invalid entry available
+        if (ages[e] < ages[victim])
+            victim = e;
     }
     return victim;
 }

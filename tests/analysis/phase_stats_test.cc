@@ -207,5 +207,49 @@ TEST(GphtPersistence, RejectsCorruptOrMismatchedState)
     }
 }
 
+TEST(GphtPersistence, SavedTextIsUnchanged)
+{
+    // Golden `GPHT-STATE 1` text: a restart must be able to load
+    // state saved by earlier builds, and they must load ours.
+    GphtPredictor p(3, 10);
+    for (PhaseId ph : {1, 2, 1, 3, 1, 2, 1, 3, 2, 2, 4, 1, 2})
+        p.observePhase(ph);
+    std::stringstream state;
+    p.saveState(state);
+    const std::string golden = "GPHT-STATE 1\n"
+                               "3 10\n"
+                               "3 11 8 2\n"
+                               "2 1 4 \n"
+                               "5 3 1 2 1\n"
+                               "6 2 3 1 2\n"
+                               "3 2 1 3 1\n"
+                               "4 1 2 1 3\n"
+                               "7 2 2 3 1\n"
+                               "8 4 2 2 3\n"
+                               "9 1 4 2 2\n"
+                               "10 2 1 4 2\n"
+                               "11 0 2 1 4\n"
+                               "-1 0\n";
+    EXPECT_EQ(state.str(), golden);
+
+    GphtPredictor restored(3, 10);
+    restored.loadState(state);
+    std::stringstream again;
+    restored.saveState(again);
+    EXPECT_EQ(again.str(), golden);
+}
+
+TEST(GphtPersistence, SetAssociativeStateIsFatal)
+{
+    // Version 1 has no field for ways, so a set-associative table
+    // can be neither saved nor restored.
+    GphtPredictor p(8, 32, 4);
+    std::stringstream state;
+    EXPECT_FAILURE(p.saveState(state));
+    GphtPredictor full(8, 128);
+    full.saveState(state);
+    EXPECT_FAILURE(p.loadState(state));
+}
+
 } // namespace
 } // namespace livephase

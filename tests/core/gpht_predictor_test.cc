@@ -1,16 +1,21 @@
 /**
  * @file
  * Tests for the GPHT predictor — pattern learning, LRU replacement,
- * last-value fallback and the paper's convergence claims.
+ * last-value fallback, the paper's convergence claims, the
+ * set-associative PHT geometries and a golden bit-identity oracle
+ * over the whole SPEC2000 suite.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/random.hh"
 #include "core/gpht_predictor.hh"
 #include "core/last_value_predictor.hh"
+#include "core/phase_classifier.hh"
+#include "workload/spec2000.hh"
 #include "test_util.hh"
 
 namespace livephase
@@ -276,6 +281,252 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(size_t(1), size_t(8),
                                          size_t(64), size_t(128),
                                          size_t(1024))));
+
+TEST(SetAssocGpht, GeometryAndName)
+{
+    GphtPredictor p(8, 32, 4);
+    EXPECT_EQ(p.phtEntries(), 128u);
+    EXPECT_EQ(p.sets(), 32u);
+    EXPECT_EQ(p.ways(), 4u);
+    EXPECT_EQ(p.gphrDepth(), 8u);
+    EXPECT_EQ(p.name(), "GPHTsa_8_32x4");
+}
+
+TEST(SetAssocGpht, LearnsPeriodicPatterns)
+{
+    GphtPredictor p(8, 32, 4);
+    const auto seq =
+        repeatPattern({1, 1, 4, 4, 1, 1, 5, 5, 3, 3}, 50);
+    auto [correct, scored] = score(p, seq);
+    EXPECT_GT(double(correct) / scored, 0.9);
+}
+
+TEST(SetAssocGpht, MatchesFullyAssociativeAtEqualCapacity)
+{
+    // Same capacity, structured workload: the hashed design should
+    // track the fully associative one closely.
+    GphtPredictor hashed(8, 32, 4);
+    GphtPredictor full(8, 128);
+    const auto seq =
+        repeatPattern({1, 2, 2, 6, 6, 1, 3, 3, 1, 2, 5, 5}, 60);
+    auto [h_correct, n1] = score(hashed, seq);
+    auto [f_correct, n2] = score(full, seq);
+    ASSERT_EQ(n1, n2);
+    EXPECT_GE(h_correct, f_correct - n1 / 20);
+}
+
+TEST(SetAssocGpht, DirectMappedSuffersConflicts)
+{
+    // 128 sets x 1 way vs 32 x 4: same capacity, but the
+    // direct-mapped table cannot keep colliding patterns resident.
+    // With many distinct patterns, the 4-way design replaces less
+    // or hits more.
+    Rng rng(3);
+    std::vector<PhaseId> period;
+    for (int i = 0; i < 40; ++i)
+        period.push_back(static_cast<PhaseId>(rng.uniformInt(1, 6)));
+    const auto seq = repeatPattern(period, 30);
+
+    GphtPredictor direct(8, 128, 1);
+    GphtPredictor assoc(8, 32, 4);
+    auto [d_correct, n1] = score(direct, seq);
+    auto [a_correct, n2] = score(assoc, seq);
+    ASSERT_EQ(n1, n2);
+    // Associativity never hurts on this workload.
+    EXPECT_GE(a_correct, d_correct);
+}
+
+TEST(SetAssocGpht, FallsBackToLastValueBeforeWarmup)
+{
+    GphtPredictor p(4, 8, 2);
+    p.observePhase(3);
+    EXPECT_EQ(p.predict(), 3);
+    p.observePhase(5);
+    EXPECT_EQ(p.predict(), 5);
+}
+
+TEST(SetAssocGpht, StatsAreConsistent)
+{
+    GphtPredictor p(4, 4, 2);
+    const auto seq = repeatPattern({1, 2, 3, 4, 5, 6}, 40);
+    score(p, seq);
+    const auto &s = p.stats();
+    EXPECT_GT(s.lookups, 0u);
+    EXPECT_EQ(s.hits + s.insertions, s.lookups);
+}
+
+TEST(SetAssocGpht, ResetRestoresColdState)
+{
+    GphtPredictor p(4, 8, 2);
+    for (int i = 0; i < 40; ++i)
+        p.observePhase(1 + i % 4);
+    p.reset();
+    EXPECT_EQ(p.predict(), INVALID_PHASE);
+    EXPECT_EQ(p.phtOccupancy(), 0u);
+    EXPECT_EQ(p.stats().lookups, 0u);
+}
+
+TEST(SetAssocGpht, InvalidGeometryIsFatal)
+{
+    EXPECT_FAILURE(GphtPredictor(0, 8, 2));
+    EXPECT_FAILURE(GphtPredictor(8, 0, 2));
+    EXPECT_FAILURE(GphtPredictor(8, 8, 0));
+}
+
+/** Property: across geometries of equal capacity, accuracy on a
+ *  structured workload stays within a band of the full-assoc
+ *  reference. */
+class GeometrySweep
+    : public ::testing::TestWithParam<std::pair<size_t, size_t>>
+{
+};
+
+TEST_P(GeometrySweep, NearFullAssociativeAccuracy)
+{
+    const auto [sets, ways] = GetParam();
+    GphtPredictor hashed(8, sets, ways);
+    GphtPredictor full(8, sets * ways);
+    const auto seq =
+        repeatPattern({1, 1, 2, 2, 1, 1, 5, 5, 3, 3, 6, 6}, 60);
+    auto [h_correct, n1] = score(hashed, seq);
+    auto [f_correct, n2] = score(full, seq);
+    ASSERT_EQ(n1, n2);
+    EXPECT_GE(h_correct, f_correct - n1 / 10)
+        << sets << "x" << ways;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, GeometrySweep,
+    ::testing::Values(std::pair<size_t, size_t>{128, 1},
+                      std::pair<size_t, size_t>{64, 2},
+                      std::pair<size_t, size_t>{32, 4},
+                      std::pair<size_t, size_t>{16, 8},
+                      std::pair<size_t, size_t>{8, 16}));
+
+/** Every per-sample prediction and the final Stats of one predictor
+ *  run cold over each SPEC2000 generator (2000 samples, seed 1). */
+struct SuiteRun
+{
+    std::vector<PhaseId> predictions;
+    std::vector<uint64_t> counters; ///< lookups, hits, insertions,
+                                    ///< replacements per generator
+};
+
+SuiteRun
+runSuite(GphtPredictor &p)
+{
+    const PhaseClassifier classifier = PhaseClassifier::table1();
+    SuiteRun run;
+    for (const SpecBenchmark &bench : Spec2000Suite::all()) {
+        const IntervalTrace trace = bench.makeTrace(2000, 1);
+        p.reset();
+        for (size_t i = 0; i < trace.size(); ++i) {
+            p.observe(classifier.sample(trace.at(i).mem_per_uop));
+            run.predictions.push_back(p.predict());
+        }
+        const auto &s = p.stats();
+        run.counters.insert(run.counters.end(), {s.lookups, s.hits,
+                                                 s.insertions,
+                                                 s.replacements});
+    }
+    return run;
+}
+
+/** FNV-1a over a SuiteRun, one 8-byte little-endian word per
+ *  value. */
+uint64_t
+digest(const SuiteRun &run)
+{
+    uint64_t hash = 1469598103934665603ULL;
+    auto fold = [&hash](uint64_t word) {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (word >> (8 * i)) & 0xff;
+            hash *= 1099511628211ULL;
+        }
+    };
+    for (PhaseId id : run.predictions)
+        fold(static_cast<uint32_t>(id));
+    for (uint64_t c : run.counters)
+        fold(c);
+    return hash;
+}
+
+/** One PHT geometry and the digest its runSuite() must produce. */
+struct GoldenCase
+{
+    size_t depth;
+    size_t sets; ///< 0: the two-argument (fully associative) form
+    size_t ways;
+    uint64_t digest;
+};
+
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << "depth " << c.depth << ", ";
+    if (c.sets == 0)
+        *os << "fully associative " << c.ways;
+    else
+        *os << c.sets << "x" << c.ways;
+}
+
+class GphtGolden : public ::testing::TestWithParam<GoldenCase>
+{
+};
+
+/**
+ * Bit-identity oracle. The constants were recorded from the
+ * separate fully associative and set-associative GPHT classes this
+ * one class replaced, so any change to lookup, training, victim
+ * order or statistics shows up here.
+ */
+TEST_P(GphtGolden, SuiteDigestIsUnchanged)
+{
+    const GoldenCase c = GetParam();
+    GphtPredictor p = c.sets == 0 ? GphtPredictor(c.depth, c.ways)
+                                  : GphtPredictor(c.depth, c.sets,
+                                                  c.ways);
+    EXPECT_EQ(digest(runSuite(p)), c.digest) << p.name();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, GphtGolden,
+    ::testing::Values(
+        GoldenCase{1, 0, 128, 0xc4e14d139a4b6839ULL},
+        GoldenCase{2, 0, 128, 0x1582a3368bbf0d71ULL},
+        GoldenCase{4, 0, 128, 0x43c952df08a46654ULL},
+        GoldenCase{6, 0, 128, 0x95bb54f0598afefaULL},
+        GoldenCase{8, 0, 128, 0xb39f53f47e988a28ULL},
+        GoldenCase{12, 0, 128, 0xac069f153e19f0b7ULL},
+        GoldenCase{16, 0, 128, 0x60c7c4cfbb1341b7ULL},
+        GoldenCase{8, 0, 1024, 0xa5faf571ae93f008ULL},
+        GoldenCase{8, 128, 1, 0x40971798520233a1ULL},
+        GoldenCase{8, 64, 2, 0xa0da8bfe7fdeb978ULL},
+        GoldenCase{8, 32, 4, 0x7fefc00da166e716ULL},
+        GoldenCase{8, 16, 8, 0xe6990e0870890777ULL},
+        GoldenCase{8, 1, 128, 0xb39f53f47e988a28ULL}),
+    [](const ::testing::TestParamInfo<GoldenCase> &info) {
+        const GoldenCase &c = info.param;
+        return c.sets == 0
+            ? "full_" + std::to_string(c.depth) + "_" +
+                std::to_string(c.ways)
+            : "sa_" + std::to_string(c.depth) + "_" +
+                std::to_string(c.sets) + "x" + std::to_string(c.ways);
+    });
+
+TEST(Gpht, OneSetIsTheFullyAssociativeTable)
+{
+    for (const auto &[depth, entries] :
+         {std::pair<size_t, size_t>{8, 128}, {4, 8}, {12, 1024}}) {
+        GphtPredictor full(depth, entries);
+        GphtPredictor one_set(depth, 1, entries);
+        EXPECT_EQ(one_set.name(), full.name());
+        const SuiteRun a = runSuite(full);
+        const SuiteRun b = runSuite(one_set);
+        EXPECT_EQ(a.predictions, b.predictions) << full.name();
+        EXPECT_EQ(a.counters, b.counters) << full.name();
+    }
+}
 
 } // namespace
 } // namespace livephase

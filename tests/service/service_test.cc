@@ -29,7 +29,6 @@
 #include "common/random.hh"
 #include "core/gpht_predictor.hh"
 #include "core/last_value_predictor.hh"
-#include "core/set_assoc_gpht_predictor.hh"
 #include "core/variable_window_predictor.hh"
 #include "cpu/dvfs_table.hh"
 #include "service/client.hh"
@@ -74,7 +73,7 @@ makeReferencePredictor(PredictorKind kind,
         return std::make_unique<GphtPredictor>(cfg.gphr_depth,
                                                cfg.pht_entries);
       case PredictorKind::SetAssocGpht:
-        return std::make_unique<SetAssocGphtPredictor>(
+        return std::make_unique<GphtPredictor>(
             cfg.gphr_depth, cfg.sa_sets, cfg.sa_ways);
       case PredictorKind::VariableWindow:
         return std::make_unique<VariableWindowPredictor>(
