@@ -25,6 +25,13 @@
  * through them too. Gated at exactly zero alongside the untagged
  * number.
  *
+ * A fourth measurement runs the same SubmitBatch through the socket
+ * front end: a real UdsServer and a UdsClientTransport in this
+ * process, so the count covers the client's send/receive, the
+ * server's reactor (receive window, answer queue, send) and the
+ * handler in between. Gated at exactly zero as well; skipped with a
+ * note where AF_UNIX sockets are unavailable.
+ *
  * Flags:
  *   --batch K       records per request       (default 64)
  *   --requests N    measured requests         (default 4096)
@@ -41,7 +48,10 @@
 #include <fstream>
 #include <iostream>
 #include <new>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "admission/admission.hh"
 #include "common/cli.hh"
@@ -50,6 +60,7 @@
 #include "common/table_writer.hh"
 #include "service/protocol.hh"
 #include "service/service.hh"
+#include "service/uds_transport.hh"
 
 namespace
 {
@@ -242,6 +253,53 @@ measureOwningPath(LivePhaseService &svc, uint64_t sid,
         static_cast<double>(n);
 }
 
+/** Allocations per SubmitBatch round trip over a Unix socket, both
+ *  ends in this process; negative when the server cannot start. */
+double
+measureUdsPath(size_t batch, size_t warmup, size_t n)
+{
+    // workers = 0: one reactor thread and no queue workers, so every
+    // thread's per-thread scratch is warm after the warmup and no
+    // thread starts up inside the counting window.
+    LivePhaseService::Config cfg;
+    cfg.max_batch = std::max<size_t>(cfg.max_batch, batch);
+    cfg.workers = 0;
+    LivePhaseService svc(cfg);
+    const std::string path = "/tmp/livephase-allocs-" +
+        std::to_string(::getpid()) + ".sock";
+    UdsServer server(svc, path);
+    if (!server.start())
+        return -1.0;
+    UdsClientTransport transport(path);
+    if (!transport.connect())
+        fatal("cannot connect to %s", path.c_str());
+    const auto records = makeBatch(batch);
+    Bytes tx, rx;
+    encodeOpenRequestInto(tx, PredictorKind::Gpht, TraceField{});
+    ResponseView view;
+    if (!transport.roundTripInto(tx, rx) ||
+        !parseResponse(ByteView(rx), view) ||
+        view.status != Status::Ok)
+        fatal("open failed over the socket");
+    const uint64_t sid = view.header.session_id;
+    const auto once = [&] {
+        encodeSubmitRequestInto(tx, sid, records, TraceField{});
+        if (!transport.roundTripInto(tx, rx) ||
+            !parseResponse(ByteView(rx), view) ||
+            view.status != Status::Ok)
+            fatal("submit failed over the socket");
+    };
+    for (size_t i = 0; i < warmup; ++i)
+        once();
+    g_allocs.store(0);
+    g_counting.store(true);
+    for (size_t i = 0; i < n; ++i)
+        once();
+    g_counting.store(false);
+    return static_cast<double>(g_allocs.load()) /
+        static_cast<double>(n);
+}
+
 } // namespace
 
 int
@@ -260,8 +318,12 @@ main(int argc, char **argv)
     std::cout << "batch " << batch << ", " << requests
               << " measured requests (" << warmup << " warmup)\n\n";
 
+    // The synchronous paths never use the request queue; workers = 0
+    // keeps worker threads (whose start-up allocates) from starting
+    // inside a counting window on a loaded machine.
     LivePhaseService::Config cfg;
     cfg.max_batch = std::max<size_t>(cfg.max_batch, batch);
+    cfg.workers = 0;
     LivePhaseService svc(cfg);
     const uint64_t sid = openSession(svc);
     const auto records = makeBatch(batch);
@@ -280,6 +342,7 @@ main(int argc, char **argv)
     {
         LivePhaseService::Config tcfg;
         tcfg.max_batch = std::max<size_t>(tcfg.max_batch, batch);
+        tcfg.workers = 0;
         tcfg.admission.enabled = true;
         tcfg.admission.controller.sample_period_ms = 0;
         std::string error;
@@ -293,11 +356,17 @@ main(int argc, char **argv)
             admission::tagForName(tcfg.admission, "bench"));
     }
 
+    const double uds_allocs = measureUdsPath(batch, warmup, requests);
+    const bool uds_measured = uds_allocs >= 0.0;
+
     TableWriter table({"path", "allocs_per_request"});
     table.addRow({"handleFrameInto (span pipeline)",
                   formatDouble(into_allocs, 4)});
     table.addRow({"handleFrameInto (tagged + admission)",
                   formatDouble(tagged_allocs, 4)});
+    table.addRow({"UdsServer round trip",
+                  uds_measured ? formatDouble(uds_allocs, 4)
+                               : std::string("skipped (no AF_UNIX)")});
     table.addRow({"handleFrame (owning, legacy)",
                   formatDouble(owning_allocs, 4)});
     table.print(std::cout);
@@ -322,15 +391,22 @@ main(int argc, char **argv)
             << "    \"allocs_per_request\": " << into_allocs
             << ",\n"
             << "    \"allocs_per_request_tagged\": " << tagged_allocs
-            << ",\n"
-            << "    \"allocs_per_request_owning\": " << owning_allocs
+            << ",\n";
+        // Left out when unmeasured, so the baseline compare reports
+        // it missing instead of passing a made-up zero.
+        if (uds_measured)
+            out << "    \"allocs_per_request_uds\": " << uds_allocs
+                << ",\n";
+        out << "    \"allocs_per_request_owning\": " << owning_allocs
             << "\n"
             << "  },\n"
             << "  \"directions\": {\"allocs_per_request\": "
             << "\"lower\", \"allocs_per_request_tagged\": "
+            << "\"lower\", \"allocs_per_request_uds\": "
             << "\"lower\"},\n"
             << "  \"compare\": [\"allocs_per_request\", "
-            << "\"allocs_per_request_tagged\"]\n"
+            << "\"allocs_per_request_tagged\", "
+            << "\"allocs_per_request_uds\"]\n"
             << "}\n";
         std::cout << "wrote " << path << "\n";
     }
@@ -349,10 +425,19 @@ main(int argc, char **argv)
                   << " allocations/request (budget: 0)\n";
         return 1;
     }
+    if (check && uds_measured && uds_allocs != 0.0) {
+        std::cerr << "FAIL: SubmitBatch over the Unix socket performed "
+                  << uds_allocs
+                  << " allocations/round trip (budget: 0)\n";
+        return 1;
+    }
     std::cout << "\nsteady-state Into path: "
               << formatDouble(into_allocs, 4)
               << " allocs/request untagged, "
               << formatDouble(tagged_allocs, 4)
-              << " tagged (budget 0)\n";
+              << " tagged, "
+              << (uds_measured ? formatDouble(uds_allocs, 4)
+                               : std::string("n/a"))
+              << " over the socket (budget 0)\n";
     return 0;
 }

@@ -10,10 +10,10 @@
  * *immediately* with Status::RetryAfter (never unbounded buffering,
  * never silent drops) — the client backs off and retries.
  *
- * The synchronous entry point handleFrame() is the same parse +
- * dispatch path minus the queue; transports that already have a
- * thread per connection may call it directly, and the worker pool
- * itself is just a loop around it.
+ * The synchronous entry point handleFrameInto() is the same parse +
+ * dispatch path minus the queue; the Unix-socket reactor calls it
+ * on the thread that read the frame, and the worker pool itself is
+ * just a loop around it.
  *
  * With workers = 0 nothing drains the queue automatically; call
  * drainOne() to process requests by hand — tests use this to make
@@ -50,7 +50,9 @@ class LivePhaseService
     {
         SessionManager::Config sessions{};
 
-        /** Worker threads; 0 = drain manually via drainOne(). */
+        /** Worker threads for submit(); 0 = drain manually via
+         *  drainOne(). A UdsServer on this service runs
+         *  max(workers, 1) reactor threads. */
         size_t workers = 2;
 
         /** Bounded request-queue capacity; fatal() when 0. */

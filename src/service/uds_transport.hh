@@ -10,16 +10,23 @@
  * stream — the server answers BadFrame and drops the connection
  * rather than guessing where the next frame starts.
  *
- * The server runs one acceptor thread plus one thread per
- * connection; every accepted frame is pushed through the service's
- * submit() path, so socket clients see the same queueing and
- * RetryAfter backpressure as in-process ones.
+ * The server is a small epoll reactor: `workers` threads (at least
+ * one) share one epoll set holding the listener, every connection
+ * and a stop eventfd. Each connection is armed EPOLLONESHOT, so one
+ * thread at a time owns it: that thread reads whatever has arrived,
+ * answers every complete frame through the service's synchronous
+ * handleFrameInto() path (parse checks, BadFrame and admission all
+ * apply), sends the answers in request order and re-arms. A client
+ * may pipeline frames. When the peer stops reading, the connection
+ * waits for EPOLLOUT and is not read until its answers drain, so a
+ * connection buffers at most one receive window of requests and
+ * their answers.
  */
 
 #ifndef LIVEPHASE_SERVICE_UDS_TRANSPORT_HH
 #define LIVEPHASE_SERVICE_UDS_TRANSPORT_HH
 
-#include <atomic>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -46,30 +53,52 @@ class UdsServer
     UdsServer &operator=(const UdsServer &) = delete;
 
     /**
-     * Bind, listen and start the acceptor. Returns false (with a
-     * warn()) when the socket cannot be created — e.g. a sandbox
-     * without AF_UNIX — so callers can fall back to in-process.
+     * Bind, listen and start the reactor threads. Returns false
+     * (with a warn()) when the socket cannot be created — e.g. a
+     * sandbox without AF_UNIX — so callers can fall back to
+     * in-process.
      */
     bool start();
 
-    /** Stop accepting, shut down live connections, join threads.
-     *  Idempotent; the destructor calls it. */
+    /** Stop the reactor threads, close the connections still open
+     *  and the listener. Idempotent; the destructor calls it. */
     void stop();
 
     const std::string &path() const { return sock_path; }
 
   private:
-    void acceptLoop();
-    void serveConnection(int fd);
+    struct Connection;
+
+    /** What a connection waits for after its owner is done. */
+    enum class Next
+    {
+        Read,
+        Write,
+        Close
+    };
+
+    void reactorLoop();
+    void acceptAll();
+    Next serve(Connection &conn, Bytes &reply);
+    bool answerBuffered(Connection &conn, Bytes &reply);
+    void answerDesync(Connection &conn, uint8_t *header_bytes,
+                      Bytes &reply);
+    bool flush(Connection &conn);
+    bool watch(int op, int fd, uint32_t events, void *tag);
+    bool rearm(int fd, uint32_t events, void *tag);
+    void closeConnection(Connection &conn);
+    void closeFds();
 
     LivePhaseService &svc;
     std::string sock_path;
     int listen_fd = -1;
-    std::atomic<bool> running{false};
-    std::thread acceptor;
+    int epoll_fd = -1;
+    int wake_fd = -1;
+    /** Every open connection; an entry leaves before its fd is
+     *  closed, so stop() never touches a reused fd number. */
     std::mutex conns_mu;
-    std::vector<std::thread> conn_threads;
-    std::vector<int> conn_fds;
+    std::list<Connection> conns;
+    std::vector<std::thread> reactors;
 };
 
 /**
