@@ -98,11 +98,13 @@ BM_GphtPredictorUpdate(benchmark::State &state)
 }
 BENCHMARK(BM_GphtPredictorUpdate)->Arg(64)->Arg(128)->Arg(1024);
 
-/** Worst case: every lookup scans the full PHT and misses. */
+/** Worst case: nearly every lookup misses, so each one searches the
+ *  full PHT and then picks the LRU victim over every entry. 128
+ *  entries is the deployed size, 1024 the evaluated one. */
 void
 BM_GphtPredictorMissPath(benchmark::State &state)
 {
-    GphtPredictor predictor(8, 1024);
+    GphtPredictor predictor(8, static_cast<size_t>(state.range(0)));
     Rng rng(5);
     for (auto _ : state) {
         predictor.observePhase(
@@ -110,7 +112,7 @@ BM_GphtPredictorMissPath(benchmark::State &state)
         benchmark::DoNotOptimize(predictor.predict());
     }
 }
-BENCHMARK(BM_GphtPredictorMissPath);
+BENCHMARK(BM_GphtPredictorMissPath)->Arg(128)->Arg(1024);
 
 /** Set-associative variant: miss path scans only one set's ways,
  *  bounding the in-handler worst case regardless of capacity. */

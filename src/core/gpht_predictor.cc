@@ -1,6 +1,7 @@
 #include "core/gpht_predictor.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -23,6 +24,7 @@ GphtPredictor::GphtPredictor(size_t gphr_depth, size_t sets,
     tags.assign(capacity * depth, INVALID_PHASE);
     ages.assign(capacity, -1);
     preds.assign(capacity, INVALID_PHASE);
+    fps.assign(capacity, 0);
     gphr_fill = 0;
     lru_clock = 0;
     pending_train = -1;
@@ -74,8 +76,11 @@ GphtPredictor::step(const PhaseSample &sample)
 
     // 4. Associative lookup within the GPHR's set.
     ++counters.lookups;
-    const size_t base = setBase();
-    const int64_t hit = lookup(base);
+    const uint64_t hash = tagHash(gphr.data());
+    const size_t base = num_sets == 1
+        ? 0 : static_cast<size_t>(hash % num_sets) * num_ways;
+    const uint8_t fp = fingerprint(hash);
+    const int64_t hit = lookup(base, fp);
     if (hit >= 0) {
         ++counters.hits;
         const size_t entry = static_cast<size_t>(hit);
@@ -96,6 +101,7 @@ GphtPredictor::step(const PhaseSample &sample)
         ++counters.replacements;
     ++counters.insertions;
     std::copy(gphr.begin(), gphr.end(), &tags[victim * depth]);
+    fps[victim] = fp;
     preds[victim] = INVALID_PHASE;
     ages[victim] = ++lru_clock;
     pending_train = static_cast<int64_t>(victim);
@@ -115,6 +121,7 @@ GphtPredictor::reset()
     std::fill(tags.begin(), tags.end(), INVALID_PHASE);
     std::fill(ages.begin(), ages.end(), -1);
     std::fill(preds.begin(), preds.end(), INVALID_PHASE);
+    std::fill(fps.begin(), fps.end(), 0);
     lru_clock = 0;
     pending_train = -1;
     current_prediction = INVALID_PHASE;
@@ -202,40 +209,44 @@ GphtPredictor::loadState(std::istream &is)
             fatal("GphtPredictor::loadState: truncated PHT");
         PhaseId *tag = &tags[e * depth];
         std::fill(tag, tag + depth, INVALID_PHASE);
-        if (ages[e] >= 0)
+        fps[e] = 0;
+        if (ages[e] >= 0) {
             for (size_t i = 0; i < depth; ++i)
                 if (!(is >> tag[i]))
                     fatal("GphtPredictor::loadState: truncated tag");
+            fps[e] = fingerprint(tagHash(tag));
+        }
     }
     counters = Stats{};
 }
 
-size_t
-GphtPredictor::setBase() const
+uint64_t
+GphtPredictor::tagHash(const PhaseId *tag) const
 {
-    if (num_sets == 1)
-        return 0;
-    // FNV-1a over the history register; cheap and well mixed for
-    // the tiny phase alphabet.
+    // FNV-1a; cheap and well mixed for the tiny phase alphabet.
     uint64_t hash = 1469598103934665603ULL;
-    for (PhaseId p : gphr) {
-        hash ^= static_cast<uint64_t>(static_cast<uint32_t>(p));
+    for (size_t i = 0; i < depth; ++i) {
+        hash ^= static_cast<uint64_t>(static_cast<uint32_t>(tag[i]));
         hash *= 1099511628211ULL;
     }
-    return static_cast<size_t>(hash % num_sets) * num_ways;
+    return hash;
 }
 
 int64_t
-GphtPredictor::lookup(size_t base) const
+GphtPredictor::lookup(size_t base, uint8_t fp) const
 {
+    // Only entries whose fingerprint matches can hold the GPHR; the
+    // byte scan skips the rest without touching their tags.
     const PhaseId *key = gphr.data();
-    for (size_t e = base; e < base + num_ways; ++e) {
+    const uint8_t *c = fps.data() + base;
+    const uint8_t *const end = c + num_ways;
+    while ((c = static_cast<const uint8_t *>(std::memchr(
+                c, fp, static_cast<size_t>(end - c)))) != nullptr) {
+        const size_t e = static_cast<size_t>(c - fps.data());
         const PhaseId *tag = &tags[e * depth];
-        // Most tags already differ in the newest phase; test it
-        // before paying for the full compare.
-        if (tag[0] == key[0] && ages[e] >= 0 &&
-            std::equal(tag + 1, tag + depth, key + 1))
+        if (ages[e] >= 0 && std::equal(tag, tag + depth, key))
             return static_cast<int64_t>(e);
+        ++c;
     }
     return -1;
 }
@@ -244,11 +255,15 @@ size_t
 GphtPredictor::victimIndex(size_t base) const
 {
     size_t victim = base;
+    int64_t oldest = ages[base];
     for (size_t e = base; e < base + num_ways; ++e) {
-        if (ages[e] < 0)
+        const int64_t age = ages[e];
+        if (age < 0)
             return e; // invalid entry available
-        if (ages[e] < ages[victim])
+        if (age < oldest) {
+            oldest = age;
             victim = e;
+        }
     }
     return victim;
 }

@@ -13,8 +13,9 @@
  * Per sampling period (driven from the PMI handler):
  *  1. the phase observed for the ending period is shifted into the
  *     GPHR;
- *  2. the GPHR is compared against the valid PHT tags of its set
- *     (all of them when the PHT is fully associative);
+ *  2. the GPHR is looked up among the valid PHT entries of its set
+ *     (all of them when the PHT is fully associative): compare
+ *     fingerprints, then tags;
  *  3. on a match the stored prediction is used, and that entry is
  *     re-trained next period with the phase that actually follows;
  *  4. on a mismatch the predictor falls back to last-value
@@ -33,6 +34,12 @@
  * `ways` entries (LRU within the set). A fully associative PHT is
  * the one-set case. `bench_ablation_gpht_assoc` measures the
  * accuracy cost of fewer ways at equal capacity.
+ *
+ * Within a set the search is a filter, not a change of answer: each
+ * entry keeps a one-byte fingerprint of its tag (the top byte of the
+ * same FNV-1a hash that picks the set), and full tags are compared
+ * only where the fingerprint matches the GPHR's. The first match by
+ * index wins, exactly as in a plain scan of the tags.
  */
 
 #ifndef LIVEPHASE_CORE_GPHT_PREDICTOR_HH
@@ -141,12 +148,19 @@ class GphtPredictor : public PhasePredictor
      *  iterates without per-step dispatch. */
     void step(const PhaseSample &sample);
 
-    /** First entry of the set the current GPHR hashes to. */
-    size_t setBase() const;
+    /** FNV-1a over `depth` phases. Over the GPHR it picks the set
+     *  (hash % sets) and, through fingerprint(), the tag byte. */
+    uint64_t tagHash(const PhaseId *tag) const;
 
-    /** Entry in [base, base + ways) whose tag matches the GPHR, or
-     *  -1. */
-    int64_t lookup(size_t base) const;
+    /** One-byte fingerprint of a tag: its hash's top byte. */
+    static uint8_t fingerprint(uint64_t hash)
+    {
+        return static_cast<uint8_t>(hash >> 56);
+    }
+
+    /** First entry in [base, base + ways) whose tag matches the
+     *  GPHR, or -1; `fp` is the GPHR's fingerprint. */
+    int64_t lookup(size_t base, uint8_t fp) const;
 
     /** Entry in [base, base + ways) to (re)fill: first invalid,
      *  else the first with the strictly oldest age. */
@@ -159,11 +173,13 @@ class GphtPredictor : public PhasePredictor
     std::vector<PhaseId> gphr; ///< gphr[0] = most recent
     size_t gphr_fill;
     // The PHT, one row per entry: tags[e * depth, (e + 1) * depth)
-    // holds entry e's pattern, ages[e] its LRU age (-1 = invalid)
-    // and preds[e] the phase that followed it.
+    // holds entry e's pattern, ages[e] its LRU age (-1 = invalid),
+    // preds[e] the phase that followed it and fps[e] the
+    // fingerprint of its tag (not serialized; rebuilt on load).
     std::vector<PhaseId> tags;
     std::vector<int64_t> ages;
     std::vector<PhaseId> preds;
+    std::vector<uint8_t> fps;
     int64_t lru_clock;
     int64_t pending_train; ///< PHT index awaiting next-phase training
     PhaseId current_prediction;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -34,6 +35,7 @@ namespace
 struct TransportCounters
 {
     obs::Counter &accepted;
+    obs::Counter &rejected;
     obs::Counter &closed;
     obs::Counter &desyncs;
     obs::Counter &bytes_in;
@@ -44,6 +46,7 @@ struct TransportCounters
         auto &reg = obs::MetricsRegistry::global();
         static TransportCounters c{
             reg.counter("livephase_uds_connections_accepted_total"),
+            reg.counter("livephase_uds_connections_rejected_total"),
             reg.counter("livephase_uds_connections_closed_total"),
             reg.counter("livephase_uds_desyncs_total"),
             reg.counter("livephase_uds_bytes_received_total"),
@@ -52,6 +55,14 @@ struct TransportCounters
         return c;
     }
 };
+
+/** The spare descriptor UdsServer gives up to reject a connection
+ *  when the process is out of descriptors; -1 if none is free. */
+int
+openReserve()
+{
+    return ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+}
 
 /** Read exactly n bytes; false on EOF/error.
  *
@@ -256,6 +267,7 @@ UdsServer::start()
     // one-shot like the connections: one thread accepts at a time.
     epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    reserve_fd = openReserve();
     if (epoll_fd < 0 || wake_fd < 0 ||
         !watch(EPOLL_CTL_ADD, wake_fd, EPOLLIN, nullptr) ||
         !watch(EPOLL_CTL_ADD, listen_fd, EPOLLIN | EPOLLONESHOT,
@@ -295,7 +307,7 @@ UdsServer::stop()
 void
 UdsServer::closeFds()
 {
-    for (int *fd : {&listen_fd, &epoll_fd, &wake_fd})
+    for (int *fd : {&listen_fd, &epoll_fd, &wake_fd, &reserve_fd})
         if (*fd >= 0)
             ::close(std::exchange(*fd, -1));
 }
@@ -364,6 +376,8 @@ UdsServer::acceptAll()
         if (fd < 0) {
             if (errno == EINTR || errno == ECONNABORTED)
                 continue;
+            if ((errno == EMFILE || errno == ENFILE) && rejectOne())
+                continue;
             break; // drained (EAGAIN); anything else retries on re-arm
         }
         tc.accepted.inc();
@@ -379,6 +393,26 @@ UdsServer::acceptAll()
     if (!rearm(listen_fd, EPOLLIN, &listen_fd))
         warn("UdsServer: re-arming the listener: %s",
              std::strerror(errno));
+}
+
+bool
+UdsServer::rejectOne()
+{
+    // Out of descriptors, the pending connection would keep the
+    // listener readable and the re-armed one-shot would fire again
+    // at once. Spend the reserve descriptor to take the connection
+    // off the backlog, hang up on it, then take the reserve back.
+    if (reserve_fd < 0 && (reserve_fd = openReserve()) < 0)
+        return false;
+    ::close(std::exchange(reserve_fd, -1));
+    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+    const bool took = fd >= 0;
+    if (took) {
+        ::close(fd);
+        TransportCounters::get().rejected.inc();
+    }
+    reserve_fd = openReserve();
+    return took;
 }
 
 void

@@ -21,6 +21,13 @@
  * waits for EPOLLOUT and is not read until its answers drain, so a
  * connection buffers at most one receive window of requests and
  * their answers.
+ *
+ * The server holds one spare descriptor (on /dev/null). When the
+ * process runs out of descriptors, a pending connection is accepted
+ * on that spare and closed at once, so the client sees a hang-up
+ * instead of waiting in the backlog while a reactor thread spins on
+ * the still-readable listener. Each such hang-up is counted in
+ * livephase_uds_connections_rejected_total.
  */
 
 #ifndef LIVEPHASE_SERVICE_UDS_TRANSPORT_HH
@@ -79,6 +86,10 @@ class UdsServer
 
     void reactorLoop();
     void acceptAll();
+    /** Out of descriptors: accept one pending connection in place
+     *  of the reserve and hang up on it. False when none was
+     *  taken. */
+    bool rejectOne();
     Next serve(Connection &conn, Bytes &reply);
     bool answerBuffered(Connection &conn, Bytes &reply);
     void answerDesync(Connection &conn, uint8_t *header_bytes,
@@ -94,6 +105,9 @@ class UdsServer
     int listen_fd = -1;
     int epoll_fd = -1;
     int wake_fd = -1;
+    /** Spare descriptor given up to accept-and-close a connection
+     *  when the process is out of descriptors. */
+    int reserve_fd = -1;
     /** Every open connection; an entry leaves before its fd is
      *  closed, so stop() never touches a reused fd number. */
     std::mutex conns_mu;

@@ -2,13 +2,19 @@
  * @file
  * Tests for the GPHT predictor — pattern learning, LRU replacement,
  * last-value fallback, the paper's convergence claims, the
- * set-associative PHT geometries and a golden bit-identity oracle
- * over the whole SPEC2000 suite.
+ * set-associative PHT geometries, a golden bit-identity oracle
+ * over the whole SPEC2000 suite and a differential test against a
+ * plain linear-scan reference model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
+#include <istream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
@@ -526,6 +532,314 @@ TEST(Gpht, OneSetIsTheFullyAssociativeTable)
         EXPECT_EQ(a.predictions, b.predictions) << full.name();
         EXPECT_EQ(a.counters, b.counters) << full.name();
     }
+}
+
+/**
+ * Reference model for the differential tests: the GPHT as the paper
+ * describes it, with one tag vector per entry, a linear scan over
+ * every tag of the set and the first-invalid-else-oldest victim
+ * rule. It shares only the set hash with GphtPredictor, so any
+ * shortcut in the real lookup that changes which entry is found
+ * shows up as a diverging prediction or counter.
+ */
+struct ReferenceGpht
+{
+    size_t depth, sets, ways;
+    std::vector<PhaseId> gphr; ///< newest first
+    size_t fill = 0;
+    std::vector<std::vector<PhaseId>> tags;
+    std::vector<int64_t> ages; ///< -1 = invalid
+    std::vector<PhaseId> preds;
+    int64_t clock = 0;
+    int64_t pending = -1;
+    GphtPredictor::Stats stats;
+
+    ReferenceGpht(size_t d, size_t s, size_t w)
+        : depth(d), sets(s), ways(w), gphr(d, INVALID_PHASE),
+          tags(s * w, std::vector<PhaseId>(d, INVALID_PHASE)),
+          ages(s * w, -1), preds(s * w, INVALID_PHASE)
+    {
+    }
+
+    size_t setBase() const
+    {
+        uint64_t hash = 1469598103934665603ULL;
+        for (PhaseId p : gphr) {
+            hash ^= static_cast<uint32_t>(p);
+            hash *= 1099511628211ULL;
+        }
+        return static_cast<size_t>(hash % sets) * ways;
+    }
+
+    PhaseId step(PhaseId phase)
+    {
+        if (pending >= 0)
+            preds[static_cast<size_t>(pending)] = phase;
+        pending = -1;
+        gphr.insert(gphr.begin(), phase);
+        gphr.pop_back();
+        fill = std::min(fill + 1, depth);
+        if (fill < depth)
+            return phase;
+        ++stats.lookups;
+        const size_t base = setBase();
+        for (size_t e = base; e < base + ways; ++e) {
+            if (ages[e] >= 0 && tags[e] == gphr) {
+                ++stats.hits;
+                ages[e] = ++clock;
+                pending = static_cast<int64_t>(e);
+                return preds[e] != INVALID_PHASE ? preds[e] : phase;
+            }
+        }
+        size_t victim = base;
+        for (size_t e = base; e < base + ways; ++e) {
+            if (ages[e] < 0) {
+                victim = e;
+                break;
+            }
+            if (ages[e] < ages[victim])
+                victim = e;
+        }
+        if (ages[victim] >= 0)
+            ++stats.replacements;
+        ++stats.insertions;
+        tags[victim] = gphr;
+        preds[victim] = INVALID_PHASE;
+        ages[victim] = ++clock;
+        pending = static_cast<int64_t>(victim);
+        return phase;
+    }
+
+    size_t occupancy() const
+    {
+        return static_cast<size_t>(std::count_if(
+            ages.begin(), ages.end(), [](int64_t a) { return a >= 0; }));
+    }
+
+    /** Read a `GPHT-STATE 1` text (fully associative only). */
+    void load(std::istream &is)
+    {
+        std::string magic;
+        int version = 0;
+        size_t d = 0, n = 0;
+        PhaseId prediction = INVALID_PHASE;
+        is >> magic >> version >> d >> n >> fill >> clock >> pending >>
+            prediction;
+        ASSERT_EQ(magic, "GPHT-STATE");
+        ASSERT_EQ(d, depth);
+        ASSERT_EQ(n, sets * ways);
+        for (PhaseId &p : gphr)
+            is >> p;
+        for (size_t e = 0; e < n; ++e) {
+            is >> ages[e] >> preds[e];
+            tags[e].assign(depth, INVALID_PHASE);
+            if (ages[e] >= 0)
+                for (PhaseId &p : tags[e])
+                    is >> p;
+        }
+        ASSERT_TRUE(is) << "malformed state text";
+        stats = {};
+    }
+};
+
+void
+expectSameStats(const GphtPredictor::Stats &got,
+                const GphtPredictor::Stats &want, size_t step)
+{
+    EXPECT_EQ(got.lookups, want.lookups) << "step " << step;
+    EXPECT_EQ(got.hits, want.hits) << "step " << step;
+    EXPECT_EQ(got.insertions, want.insertions) << "step " << step;
+    EXPECT_EQ(got.replacements, want.replacements) << "step " << step;
+}
+
+/**
+ * Drive `p` and `ref` in lockstep over `seq`, alternating single
+ * observe() steps with batched runs of up to 64, and compare every
+ * prediction and every Stats field. Stops at the first divergence.
+ */
+void
+expectLockstep(GphtPredictor &p, ReferenceGpht &ref,
+               const std::vector<PhaseId> &seq)
+{
+    std::vector<PhaseSample> samples;
+    std::vector<PhaseId> got;
+    for (size_t i = 0; i < seq.size();) {
+        const size_t n = (i / 64) % 2 == 0
+            ? 1 : std::min<size_t>(1 + i % 64, seq.size() - i);
+        samples.clear();
+        for (size_t k = 0; k < n; ++k)
+            samples.push_back({seq[i + k], 0.0});
+        got.assign(n, INVALID_PHASE);
+        p.observeAndPredictBatch(samples, got);
+        for (size_t k = 0; k < n; ++k) {
+            const PhaseId want = ref.step(seq[i + k]);
+            ASSERT_EQ(got[k], want)
+                << p.name() << " diverged at step " << i + k;
+        }
+        i += n;
+        ASSERT_EQ(p.predict(), got.back());
+        expectSameStats(p.stats(), ref.stats, i);
+        ASSERT_FALSE(::testing::Test::HasFailure())
+            << p.name() << " counters diverged at step " << i;
+    }
+    EXPECT_EQ(p.phtOccupancy(), ref.occupancy()) << p.name();
+    EXPECT_EQ(p.gphrContents(), ref.gphr) << p.name();
+}
+
+/** `size` distinct phases: small ids, ids near INT_MAX and negative
+ *  ids, so every byte of a PhaseId feeds the hash. */
+std::vector<PhaseId>
+alphabet(size_t size)
+{
+    std::vector<PhaseId> ids;
+    for (size_t i = 0; i < size; ++i) {
+        const PhaseId k = static_cast<PhaseId>(i / 3 + 1);
+        ids.push_back(i % 3 == 0 ? k : i % 3 == 1 ? INT_MAX - k : -k);
+    }
+    return ids;
+}
+
+/** Seeded stream mixing repeated loops (PHT hits) with random runs
+ *  (misses, installs and, once the table is full, replacements). */
+std::vector<PhaseId>
+mixedStream(const std::vector<PhaseId> &ids, size_t length,
+            uint64_t seed)
+{
+    Rng rng(seed);
+    auto draw = [&] {
+        return ids[static_cast<size_t>(rng.uniformInt(
+            0, static_cast<int64_t>(ids.size()) - 1))];
+    };
+    std::vector<PhaseId> seq;
+    while (seq.size() < length) {
+        const size_t run = static_cast<size_t>(rng.uniformInt(1, 200));
+        if (rng.chance(0.5)) {
+            std::vector<PhaseId> loop(
+                static_cast<size_t>(rng.uniformInt(1, 24)));
+            for (PhaseId &p : loop)
+                p = draw();
+            for (size_t k = 0; k < run; ++k)
+                seq.push_back(loop[k % loop.size()]);
+        } else {
+            for (size_t k = 0; k < run; ++k)
+                seq.push_back(draw());
+        }
+    }
+    seq.resize(length);
+    return seq;
+}
+
+struct DiffCase
+{
+    size_t depth;
+    size_t sets;
+    size_t ways;
+    size_t alphabet;
+};
+
+void
+PrintTo(const DiffCase &c, std::ostream *os)
+{
+    *os << "depth " << c.depth << ", " << c.sets << "x" << c.ways
+        << ", " << c.alphabet << " phases";
+}
+
+class GphtDifferential : public ::testing::TestWithParam<DiffCase>
+{
+};
+
+TEST_P(GphtDifferential, MatchesLinearScanReference)
+{
+    const DiffCase c = GetParam();
+    const std::vector<PhaseId> ids = alphabet(c.alphabet);
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+        GphtPredictor p(c.depth, c.sets, c.ways);
+        ReferenceGpht ref(c.depth, c.sets, c.ways);
+        expectLockstep(p, ref, mixedStream(ids, 12000, seed));
+        if (HasFailure())
+            return;
+        // Where there are more patterns than entries, the table was
+        // driven past capacity and replacement was exercised.
+        size_t patterns = 1;
+        for (size_t i = 0; i < c.depth && patterns <= c.sets * c.ways;
+             ++i)
+            patterns *= c.alphabet;
+        if (patterns > c.sets * c.ways) {
+            EXPECT_GT(p.stats().replacements, 0u) << p.name();
+        }
+        EXPECT_GT(p.stats().hits, 0u) << p.name();
+
+        // reset() must clear the fingerprints with everything else.
+        p.reset();
+        ReferenceGpht cold(c.depth, c.sets, c.ways);
+        expectLockstep(p, cold, mixedStream(ids, 2000, seed + 100));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, GphtDifferential,
+    ::testing::ValuesIn([] {
+        // 8x1024 fully associative: about four same-fingerprint
+        // candidates per lookup once full, so collisions are certain.
+        const DiffCase shapes[] = {{8, 1, 1024, 0}, {8, 1, 128, 0},
+                                   {8, 16, 8, 0},   {1, 1, 128, 0},
+                                   {1, 16, 8, 0},   {16, 1, 128, 0},
+                                   {16, 16, 8, 0}};
+        std::vector<DiffCase> cases;
+        for (DiffCase c : shapes)
+            for (size_t a : {2, 6, 300}) {
+                c.alphabet = a;
+                cases.push_back(c);
+            }
+        return cases;
+    }()),
+    [](const ::testing::TestParamInfo<DiffCase> &info) {
+        const DiffCase &c = info.param;
+        return "d" + std::to_string(c.depth) + "_" +
+            std::to_string(c.sets) + "x" + std::to_string(c.ways) +
+            "_a" + std::to_string(c.alphabet);
+    });
+
+TEST(GphtDifferential, LoadedStateMatchesReference)
+{
+    // Depth 2, four entries: invalid holes at 0 and 2 ahead of valid
+    // entries, and entries 1 and 3 holding the same tag [1, 2] with
+    // different predictions. Fingerprints are not in the text, so
+    // loadState() must rebuild them, and the lookup must still pick
+    // the lower index.
+    const std::string state = "GPHT-STATE 1\n"
+                              "2 4\n"
+                              "2 7 -1 2\n"
+                              "2 9 \n"
+                              "-1 0\n"
+                              "5 3 1 2\n"
+                              "-1 0\n"
+                              "7 4 1 2\n";
+    GphtPredictor p(2, 4);
+    std::istringstream in(state);
+    p.loadState(in);
+    ReferenceGpht ref(2, 1, 4);
+    std::istringstream ref_in(state);
+    ref.load(ref_in);
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_EQ(p.phtOccupancy(), 2u);
+
+    // Observing 1 makes the GPHR [1, 2]: both valid entries match
+    // and entry 1 (prediction 3) must win over entry 3 (4).
+    std::vector<PhaseId> seq = {1};
+    // Then misses fill the holes (0 before 2) and evict entry 3,
+    // the oldest once entry 1 has been touched.
+    for (PhaseId ph : {5, 6, 5, 9, 1, 2, 1})
+        seq.push_back(ph);
+    const std::vector<PhaseId> tail =
+        mixedStream({1, 2, 5, 6, 9}, 3000, 7);
+    seq.insert(seq.end(), tail.begin(), tail.end());
+    {
+        GphtPredictor probe = p;
+        probe.observePhase(1);
+        EXPECT_EQ(probe.predict(), 3) << "the first match by index";
+    }
+    expectLockstep(p, ref, seq);
 }
 
 } // namespace

@@ -14,11 +14,15 @@
  *    connection, even with one reactor thread;
  *  - frames pipelined in one write come back in request order,
  *    byte-identical to the same frames sent one round trip at a
- *    time.
+ *    time;
+ *  - out of descriptors, the server hangs up on (and counts) the
+ *    connections it cannot take instead of spinning on them, and
+ *    serves again once a descriptor frees up.
  */
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -29,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,21 +142,88 @@ waitForClosed(uint64_t target)
     return true;
 }
 
-/** A raw blocking client socket; -1 when the dial fails. */
-int
-dial(const std::string &path)
+uint64_t
+connectionsRejected()
+{
+    return obs::MetricsRegistry::global()
+        .counter("livephase_uds_connections_rejected_total")
+        .value();
+}
+
+/** CPU time of every thread of this process so far, ns. */
+int64_t
+processCpuNs()
+{
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+/** Connect an existing socket to the server; false on failure. */
+bool
+connectTo(int fd, const std::string &path)
 {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    return ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)) == 0;
+}
+
+/** A raw blocking client socket; -1 when the dial fails. */
+int
+dial(const std::string &path)
+{
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                             sizeof(addr)) < 0) {
+    if (fd >= 0 && !connectTo(fd, path)) {
         ::close(fd);
         return -1;
     }
     return fd;
 }
+
+/** Lowers RLIMIT_NOFILE so that no descriptor is free, and puts the
+ *  limit back (closing its filler descriptors) when destroyed. */
+class DescriptorsExhausted
+{
+  public:
+    DescriptorsExhausted()
+    {
+        const std::vector<int> open = openFds();
+        if (open.empty() || ::getrlimit(RLIMIT_NOFILE, &saved) != 0)
+            return;
+        // Cap at the highest open number, then plug the holes below.
+        rlimit tight = saved;
+        tight.rlim_cur = static_cast<rlim_t>(open.back()) + 1;
+        if (::setrlimit(RLIMIT_NOFILE, &tight) != 0)
+            return;
+        lowered = true;
+        for (int fd; (fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0;)
+            plugs.push_back(fd);
+        exhausted = errno == EMFILE;
+    }
+
+    ~DescriptorsExhausted()
+    {
+        for (int fd : plugs)
+            ::close(fd);
+        if (lowered)
+            ::setrlimit(RLIMIT_NOFILE, &saved);
+    }
+
+    DescriptorsExhausted(const DescriptorsExhausted &) = delete;
+    DescriptorsExhausted &operator=(const DescriptorsExhausted &) =
+        delete;
+
+    /** True when the limit is in force and every number is taken. */
+    bool ok() const { return exhausted; }
+
+  private:
+    rlimit saved{};
+    std::vector<int> plugs;
+    bool lowered = false;
+    bool exhausted = false;
+};
 
 bool
 sendAll(int fd, const Bytes &bytes)
@@ -415,4 +487,72 @@ TEST(UdsService, PipelinedFramesAnswerInRequestOrder)
         EXPECT_EQ(answer, sequential[i]) << "answer " << i;
     }
     ::close(fd);
+}
+
+TEST(UdsService, OutOfDescriptorsRejectsInsteadOfSpinning)
+{
+    LivePhaseService::Config cfg;
+    cfg.workers = 1;
+    LivePhaseService svc(cfg);
+    const std::string path = socketPath("emfile");
+    UdsServer server(svc, path);
+    if (!server.start())
+        GTEST_SKIP() << "AF_UNIX unavailable in this sandbox";
+
+    // One client served while descriptors are plentiful. The later
+    // clients' sockets are made now too: our own ends count against
+    // the same process limit as the server's.
+    auto served = std::make_unique<UdsClientTransport>(path);
+    ASSERT_TRUE(served->connect());
+    {
+        ServiceClient client(*served);
+        ASSERT_EQ(client.queryStats().status, Status::Ok);
+    }
+    std::vector<int> late;
+    for (int i = 0; i < 3; ++i) {
+        late.push_back(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
+        ASSERT_GE(late.back(), 0);
+    }
+
+    const uint64_t rejected_before = connectionsRejected();
+    {
+        DescriptorsExhausted limit;
+        ASSERT_TRUE(limit.ok()) << "could not lower RLIMIT_NOFILE";
+
+        // Past the limit, each connection is taken off the backlog
+        // and hung up on.
+        ASSERT_TRUE(connectTo(late[0], path));
+        ASSERT_TRUE(connectTo(late[1], path));
+        const auto deadline = Clock::now() + std::chrono::seconds(5);
+        while (connectionsRejected() < rejected_before + 2 &&
+               Clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_EQ(connectionsRejected(), rejected_before + 2);
+        for (int i = 0; i < 2; ++i) {
+            uint8_t byte = 0;
+            EXPECT_LE(::recv(late[i], &byte, 1, 0), 0)
+                << "rejected client " << i << " was not hung up on";
+        }
+
+        // Nothing is left pending, so the reactor goes idle rather
+        // than spinning on a listener that stays readable.
+        const int64_t cpu_before = processCpuNs();
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        EXPECT_LT(processCpuNs() - cpu_before, 50'000'000)
+            << "a reactor thread spins while out of descriptors";
+
+        // Once a served client leaves, its descriptors serve the
+        // next client.
+        const uint64_t closed_before = connectionsClosed();
+        served.reset();
+        ASSERT_TRUE(waitForClosed(closed_before + 1));
+        ASSERT_TRUE(connectTo(late[2], path));
+        ASSERT_TRUE(sendAll(late[2], encodeStatsRequest()));
+        ParsedResponse stats;
+        ASSERT_TRUE(parseResponse(recvFrame(late[2]), stats));
+        EXPECT_EQ(stats.status, Status::Ok);
+        EXPECT_EQ(connectionsRejected(), rejected_before + 2);
+    }
+    for (int fd : late)
+        ::close(fd);
 }
