@@ -32,6 +32,13 @@
  * handler in between. Gated at exactly zero as well; skipped with a
  * note where AF_UNIX sockets are unavailable.
  *
+ * Three more rows count the operator queries a scraper sends, each
+ * through handleFrameInto() with a warm reply buffer: QueryMetrics
+ * rendered as Prometheus text, QueryMetrics as JSONL, and
+ * QueryStats. The scrape renders straight from the live metrics into
+ * the reply frame, so these are gated through the baseline compare
+ * like the rows above.
+ *
  * Flags:
  *   --batch K       records per request       (default 64)
  *   --requests N    measured requests         (default 4096)
@@ -58,6 +65,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/table_writer.hh"
+#include "obs/exposition.hh"
 #include "service/protocol.hh"
 #include "service/service.hh"
 #include "service/uds_transport.hh"
@@ -253,6 +261,32 @@ measureOwningPath(LivePhaseService &svc, uint64_t sid,
         static_cast<double>(n);
 }
 
+/** Allocations per operator query (`frame` is a QueryMetrics or
+ *  QueryStats request) answered through handleFrameInto() into one
+ *  reused reply buffer. */
+double
+measureQueryPath(LivePhaseService &svc, const Bytes &frame,
+                 size_t warmup, size_t n)
+{
+    Bytes rx;
+    const auto once = [&] {
+        svc.handleFrameInto(ByteView(frame), rx);
+        ResponseView view;
+        if (!parseResponse(ByteView(rx), view) ||
+            view.status != Status::Ok)
+            fatal("query failed on the Into path");
+    };
+    for (size_t i = 0; i < warmup; ++i)
+        once();
+    g_allocs.store(0);
+    g_counting.store(true);
+    for (size_t i = 0; i < n; ++i)
+        once();
+    g_counting.store(false);
+    return static_cast<double>(g_allocs.load()) /
+        static_cast<double>(n);
+}
+
 /** Allocations per SubmitBatch round trip over a Unix socket, both
  *  ends in this process; negative when the server cannot start. */
 double
@@ -356,6 +390,23 @@ main(int argc, char **argv)
             admission::tagForName(tcfg.admission, "bench"));
     }
 
+    // Scrapes are rarer and heavier than batches: a smaller count
+    // keeps the run short, and the count is exact either way.
+    const size_t queries = std::max<size_t>(requests / 16, 1);
+    const size_t query_warmup = std::max<size_t>(warmup / 16, 1);
+    const double metrics_prom_allocs = measureQueryPath(
+        svc,
+        encodeMetricsRequest(
+            static_cast<uint16_t>(obs::ExpositionFormat::Prometheus)),
+        query_warmup, queries);
+    const double metrics_jsonl_allocs = measureQueryPath(
+        svc,
+        encodeMetricsRequest(
+            static_cast<uint16_t>(obs::ExpositionFormat::Jsonl)),
+        query_warmup, queries);
+    const double stats_allocs = measureQueryPath(
+        svc, encodeStatsRequest(), query_warmup, queries);
+
     const double uds_allocs = measureUdsPath(batch, warmup, requests);
     const bool uds_measured = uds_allocs >= 0.0;
 
@@ -367,6 +418,11 @@ main(int argc, char **argv)
     table.addRow({"UdsServer round trip",
                   uds_measured ? formatDouble(uds_allocs, 4)
                                : std::string("skipped (no AF_UNIX)")});
+    table.addRow({"QueryMetrics, Prometheus",
+                  formatDouble(metrics_prom_allocs, 4)});
+    table.addRow({"QueryMetrics, JSONL",
+                  formatDouble(metrics_jsonl_allocs, 4)});
+    table.addRow({"QueryStats", formatDouble(stats_allocs, 4)});
     table.addRow({"handleFrame (owning, legacy)",
                   formatDouble(owning_allocs, 4)});
     table.print(std::cout);
@@ -391,6 +447,12 @@ main(int argc, char **argv)
             << "    \"allocs_per_request\": " << into_allocs
             << ",\n"
             << "    \"allocs_per_request_tagged\": " << tagged_allocs
+            << ",\n"
+            << "    \"allocs_per_query_metrics_prometheus\": "
+            << metrics_prom_allocs << ",\n"
+            << "    \"allocs_per_query_metrics_jsonl\": "
+            << metrics_jsonl_allocs << ",\n"
+            << "    \"allocs_per_query_stats\": " << stats_allocs
             << ",\n";
         // Left out when unmeasured, so the baseline compare reports
         // it missing instead of passing a made-up zero.
@@ -403,10 +465,16 @@ main(int argc, char **argv)
             << "  \"directions\": {\"allocs_per_request\": "
             << "\"lower\", \"allocs_per_request_tagged\": "
             << "\"lower\", \"allocs_per_request_uds\": "
+            << "\"lower\", \"allocs_per_query_metrics_prometheus\": "
+            << "\"lower\", \"allocs_per_query_metrics_jsonl\": "
+            << "\"lower\", \"allocs_per_query_stats\": "
             << "\"lower\"},\n"
             << "  \"compare\": [\"allocs_per_request\", "
             << "\"allocs_per_request_tagged\", "
-            << "\"allocs_per_request_uds\"]\n"
+            << "\"allocs_per_request_uds\", "
+            << "\"allocs_per_query_metrics_prometheus\", "
+            << "\"allocs_per_query_metrics_jsonl\", "
+            << "\"allocs_per_query_stats\"]\n"
             << "}\n";
         std::cout << "wrote " << path << "\n";
     }

@@ -1,85 +1,276 @@
 #include "obs/exposition.hh"
 
-#include "common/clock.hh"
-
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
+
+#include "common/clock.hh"
 
 #include "obs/runtime.hh"
 
 namespace livephase::obs
 {
 
+void
+TextOut::number(double v)
+{
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%.10g", v);
+    append(std::string_view(buf, static_cast<size_t>(n)));
+}
+
+void
+TextOut::fixed(double v, int decimals)
+{
+    char buf[400]; // %.6f of DBL_MAX is 316 characters
+    const int n = std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+    append(std::string_view(
+        buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1)));
+}
+
+void
+TextOut::count(uint64_t v)
+{
+    char buf[24];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+    (void)ec; // 24 bytes always fit a u64
+    append(std::string_view(buf, static_cast<size_t>(end - buf)));
+}
+
 namespace
 {
 
-std::string
-formatValue(double v)
+/** `s` with each character `escape` maps to a non-empty sequence
+ *  replaced by it; runs of untouched characters are appended whole. */
+template <class Escape>
+void
+appendEscaped(TextOut out, std::string_view s, Escape escape)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    return buf;
+    size_t run = 0;
+    char buf[8];
+    for (size_t i = 0; i < s.size(); ++i) {
+        const std::string_view with = escape(s[i], buf);
+        if (with.empty())
+            continue;
+        out.append(s.substr(run, i - run));
+        out.append(with);
+        run = i + 1;
+    }
+    out.append(s.substr(run));
 }
 
-/** Split "base{a=\"b\"}" into base and inner label list ("a=\"b\""). */
+/** JSON string body: quotes, backslashes and control characters
+ *  escaped. */
 void
-splitName(const std::string &name, std::string &base,
-          std::string &labels)
+appendJsonEscaped(TextOut out, std::string_view s)
 {
-    const size_t brace = name.find('{');
-    if (brace == std::string::npos) {
-        base = name;
-        labels.clear();
+    appendEscaped(out, s, [](char c, char *buf) -> std::string_view {
+        switch (c) {
+          case '"': return "\\\"";
+          case '\\': return "\\\\";
+          case '\n': return "\\n";
+          case '\r': return "\\r";
+          case '\t': return "\\t";
+          default:
+            if (static_cast<unsigned char>(c) >= 0x20)
+                return {};
+            // Remaining control characters JSON forbids raw.
+            std::snprintf(buf, 8, "\\u%04x", c);
+            return buf;
+        }
+    });
+}
+
+/** Escape a series name for use inside a Prometheus text-format
+ *  label value (per-tag series carry their own {tag="..."} suffix
+ *  with quotes). The format reserves exactly three characters:
+ *  backslash, double-quote, and newline — a raw newline would
+ *  terminate the sample line mid-value. */
+void
+appendPromLabelEscaped(TextOut out, std::string_view s)
+{
+    appendEscaped(out, s, [](char c, char *) -> std::string_view {
+        switch (c) {
+          case '\\': return "\\\\";
+          case '"': return "\\\"";
+          case '\n': return "\\n";
+          default: return {};
+        }
+    });
+}
+
+/** "base{a=\"b\"}" split into base and inner label list
+ *  ("a=\"b\""); views into the name. */
+struct SplitName
+{
+    std::string_view base;
+    std::string_view labels;
+
+    explicit SplitName(std::string_view name)
+    {
+        const size_t brace = name.find('{');
+        if (brace == std::string_view::npos) {
+            base = name;
+            return;
+        }
+        base = name.substr(0, brace);
+        const size_t end = name.rfind('}');
+        labels = name.substr(brace + 1,
+                             end == std::string_view::npos ||
+                                     end <= brace
+                                 ? std::string_view::npos
+                                 : end - brace - 1);
+    }
+};
+
+/** "base<suffix>{labels,extra} ", braces only when there is a
+ *  label to put in them; the value follows. */
+void
+promSeries(TextOut out, const SplitName &n, std::string_view suffix,
+           std::string_view extra)
+{
+    out.append(n.base);
+    out.append(suffix);
+    if (!n.labels.empty() || !extra.empty()) {
+        out.append('{');
+        out.append(n.labels);
+        if (!n.labels.empty() && !extra.empty())
+            out.append(',');
+        out.append(extra);
+        out.append('}');
+    }
+    out.append(' ');
+}
+
+void
+appendPrometheusMetric(TextOut out, const MetricView &m,
+                       std::string_view &prev_base)
+{
+    const SplitName n(m.name);
+    if (n.base != prev_base) {
+        out.append("# TYPE ");
+        out.append(n.base);
+        out.append(m.kind == MetricKind::Counter ? " counter\n"
+                   : m.kind == MetricKind::Gauge ? " gauge\n"
+                                                 : " summary\n");
+        prev_base = n.base;
+    }
+    const auto sample = [&](std::string_view suffix,
+                            std::string_view extra, double v) {
+        promSeries(out, n, suffix, extra);
+        out.number(v);
+        out.append('\n');
+    };
+    if (m.kind != MetricKind::Histogram) {
+        sample("", "", m.value);
         return;
     }
-    base = name.substr(0, brace);
-    const size_t end = name.rfind('}');
-    labels = name.substr(brace + 1,
-                         end == std::string::npos || end <= brace
-                             ? std::string::npos
-                             : end - brace - 1);
+    const HistogramSummary &h = m.hist;
+    sample("", "quantile=\"0.5\"", h.p50);
+    sample("", "quantile=\"0.9\"", h.p90);
+    sample("", "quantile=\"0.99\"", h.p99);
+    sample("_sum", "", h.sum);
+    promSeries(out, n, "_count", "");
+    out.count(h.count);
+    out.append('\n');
 }
 
-/** "base{labels,extra} " or "base{extra} " or "base ". */
-std::string
-promSeries(const std::string &base, const std::string &labels,
-           const std::string &extra)
+void
+appendJsonlMetric(TextOut out, const MetricView &m)
 {
-    if (labels.empty() && extra.empty())
-        return base;
-    std::string out = base + "{" + labels;
-    if (!labels.empty() && !extra.empty())
-        out += ",";
-    out += extra;
-    out += "}";
-    return out;
+    const auto field = [&out](std::string_view key, double v) {
+        out.append(key);
+        out.number(v);
+    };
+    out.append("{\"name\": \"");
+    appendJsonEscaped(out, m.name);
+    out.append("\", \"kind\": \"");
+    out.append(metricKindName(m.kind));
+    out.append('"');
+    if (m.kind == MetricKind::Histogram) {
+        const HistogramSummary &h = m.hist;
+        out.append(", \"count\": ");
+        out.count(h.count);
+        field(", \"sum\": ", h.sum);
+        field(", \"max\": ", h.max);
+        field(", \"mean\": ", h.mean());
+        field(", \"p50\": ", h.p50);
+        field(", \"p90\": ", h.p90);
+        field(", \"p99\": ", h.p99);
+    } else {
+        field(", \"value\": ", m.value);
+    }
+    out.append("}\n");
 }
 
-std::string
-jsonEscape(const std::string &s)
+const char *const WINDOW_NAMES[] = {"1s", "10s", "60s"};
+
+void
+appendSeriesPrometheus(TextOut out, std::string_view name,
+                       bool is_histogram, const WindowSet &windows)
 {
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                // Remaining control characters JSON forbids raw.
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+    const auto stat = [&](size_t w, const char *what, double v) {
+        out.append("livephase_window{series=\"");
+        appendPromLabelEscaped(out, name);
+        out.append("\",window=\"");
+        out.append(WINDOW_NAMES[w]);
+        out.append("\",stat=\"");
+        out.append(what);
+        out.append("\"} ");
+        out.number(v);
+        out.append('\n');
+    };
+    for (size_t w = 0; w < windows.size(); ++w) {
+        stat(w, "rate", windows[w].rate);
+        if (is_histogram) {
+            stat(w, "p50", windows[w].p50);
+            stat(w, "p99", windows[w].p99);
+            stat(w, "max", windows[w].max);
         }
     }
-    return out;
+}
+
+void
+appendSeriesJsonl(TextOut out, std::string_view name,
+                  bool is_histogram, const WindowSet &windows)
+{
+    out.append("{\"series\": \"");
+    appendJsonEscaped(out, name);
+    out.append(is_histogram ? "\", \"kind\": \"histogram\", "
+                            : "\", \"kind\": \"counter\", ");
+    const auto field = [&out](std::string_view key, double v) {
+        out.append(key);
+        out.number(v);
+    };
+    for (size_t i = 0; i < windows.size(); ++i) {
+        const WindowStats &w = windows[i];
+        if (i > 0)
+            out.append(", ");
+        out.append('"');
+        out.append(WINDOW_NAMES[i]);
+        out.append("\": {\"count\": ");
+        out.count(w.count);
+        field(", \"rate\": ", w.rate);
+        if (is_histogram) {
+            field(", \"mean\": ", w.mean);
+            field(", \"p50\": ", w.p50);
+            field(", \"p99\": ", w.p99);
+            field(", \"max\": ", w.max);
+        }
+        out.append('}');
+    }
+    out.append("}\n");
+}
+
+std::vector<MetricView>
+viewsOf(const MetricsSnapshot &snap)
+{
+    std::vector<MetricView> views;
+    views.reserve(snap.samples.size());
+    for (const MetricSample &s : snap.samples)
+        views.push_back({s.name, s.kind, s.value, s.hist.summary()});
+    return views;
 }
 
 } // namespace
@@ -95,155 +286,79 @@ expositionFormatName(ExpositionFormat format)
     return "format-?";
 }
 
+void
+appendPrometheus(TextOut out, std::span<const MetricView> metrics)
+{
+    std::string_view prev_base;
+    for (const MetricView &m : metrics)
+        appendPrometheusMetric(out, m, prev_base);
+}
+
+void
+appendJsonl(TextOut out, std::span<const MetricView> metrics)
+{
+    for (const MetricView &m : metrics)
+        appendJsonlMetric(out, m);
+}
+
+void
+appendTimeSeriesPrometheus(TextOut out, const TimeSeriesRegistry &reg)
+{
+    bool first = true;
+    reg.forEach([&](std::string_view name, bool is_histogram,
+                    const WindowSet &windows) {
+        if (first)
+            out.append("# TYPE livephase_window gauge\n");
+        first = false;
+        appendSeriesPrometheus(out, name, is_histogram, windows);
+    });
+}
+
+void
+appendTimeSeriesJsonl(TextOut out, const TimeSeriesRegistry &reg)
+{
+    reg.forEach([&](std::string_view name, bool is_histogram,
+                    const WindowSet &windows) {
+        appendSeriesJsonl(out, name, is_histogram, windows);
+    });
+}
+
 std::string
 renderPrometheus(const MetricsSnapshot &snap)
 {
-    std::ostringstream os;
-    std::string prev_base;
-    for (const MetricSample &s : snap.samples) {
-        std::string base, labels;
-        splitName(s.name, base, labels);
-        if (base != prev_base) {
-            const char *type = s.kind == MetricKind::Counter
-                ? "counter"
-                : s.kind == MetricKind::Gauge ? "gauge" : "summary";
-            os << "# TYPE " << base << " " << type << "\n";
-            prev_base = base;
-        }
-        if (s.kind != MetricKind::Histogram) {
-            os << promSeries(base, labels, "") << " "
-               << formatValue(s.value) << "\n";
-            continue;
-        }
-        const double quantiles[] = {50.0, 90.0, 99.0};
-        for (double q : quantiles) {
-            char extra[32];
-            std::snprintf(extra, sizeof(extra), "quantile=\"%g\"",
-                          q / 100.0);
-            os << promSeries(base, labels, extra) << " "
-               << formatValue(s.hist.quantile(q)) << "\n";
-        }
-        os << promSeries(base + "_sum", labels, "") << " "
-           << formatValue(s.hist.sum) << "\n";
-        os << promSeries(base + "_count", labels, "") << " "
-           << s.hist.count << "\n";
-    }
-    return os.str();
+    std::string text;
+    appendPrometheus(text, viewsOf(snap));
+    return text;
 }
 
 std::string
 renderJsonl(const MetricsSnapshot &snap)
 {
-    std::ostringstream os;
-    for (const MetricSample &s : snap.samples) {
-        os << "{\"name\": \"" << jsonEscape(s.name)
-           << "\", \"kind\": \"" << metricKindName(s.kind) << "\"";
-        if (s.kind == MetricKind::Histogram) {
-            os << ", \"count\": " << s.hist.count
-               << ", \"sum\": " << formatValue(s.hist.sum)
-               << ", \"max\": " << formatValue(s.hist.max)
-               << ", \"mean\": " << formatValue(s.hist.mean())
-               << ", \"p50\": "
-               << formatValue(s.hist.quantile(50.0))
-               << ", \"p90\": "
-               << formatValue(s.hist.quantile(90.0))
-               << ", \"p99\": "
-               << formatValue(s.hist.quantile(99.0));
-        } else {
-            os << ", \"value\": " << formatValue(s.value);
-        }
-        os << "}\n";
-    }
-    return os.str();
+    std::string text;
+    appendJsonl(text, viewsOf(snap));
+    return text;
 }
-
-namespace
-{
-
-/** Escape a series name for use inside a Prometheus text-format
- *  label value (per-tag series carry their own {tag="..."} suffix
- *  with quotes). The format reserves exactly three characters:
- *  backslash, double-quote, and newline — a raw newline would
- *  terminate the sample line mid-value. */
-std::string
-promLabelEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '\\': out += "\\\\"; break;
-          case '"': out += "\\\""; break;
-          case '\n': out += "\\n"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
-void
-windowPrometheusLines(std::ostringstream &os,
-                      const SeriesSample &s, const char *window,
-                      const WindowStats &w)
-{
-    const std::string prefix = "livephase_window{series=\"" +
-        promLabelEscape(s.name) + "\",window=\"" + window +
-        "\",stat=\"";
-    os << prefix << "rate\"} " << formatValue(w.rate) << "\n";
-    if (s.is_histogram) {
-        os << prefix << "p50\"} " << formatValue(w.p50) << "\n";
-        os << prefix << "p99\"} " << formatValue(w.p99) << "\n";
-        os << prefix << "max\"} " << formatValue(w.max) << "\n";
-    }
-}
-
-void
-windowJson(std::ostringstream &os, const SeriesSample &s,
-           const char *window, const WindowStats &w)
-{
-    os << "\"" << window << "\": {\"count\": " << w.count
-       << ", \"rate\": " << formatValue(w.rate);
-    if (s.is_histogram) {
-        os << ", \"mean\": " << formatValue(w.mean)
-           << ", \"p50\": " << formatValue(w.p50)
-           << ", \"p99\": " << formatValue(w.p99)
-           << ", \"max\": " << formatValue(w.max);
-    }
-    os << "}";
-}
-
-} // namespace
 
 std::string
 renderTimeSeriesPrometheus(const TimeSeriesSnapshot &snap)
 {
-    std::ostringstream os;
+    std::string text;
     if (!snap.series.empty())
-        os << "# TYPE livephase_window gauge\n";
-    for (const SeriesSample &s : snap.series) {
-        windowPrometheusLines(os, s, "1s", s.w1s);
-        windowPrometheusLines(os, s, "10s", s.w10s);
-        windowPrometheusLines(os, s, "60s", s.w60s);
-    }
-    return os.str();
+        text += "# TYPE livephase_window gauge\n";
+    for (const SeriesSample &s : snap.series)
+        appendSeriesPrometheus(text, s.name, s.is_histogram,
+                               {s.w1s, s.w10s, s.w60s});
+    return text;
 }
 
 std::string
 renderTimeSeriesJsonl(const TimeSeriesSnapshot &snap)
 {
-    std::ostringstream os;
-    for (const SeriesSample &s : snap.series) {
-        os << "{\"series\": \"" << jsonEscape(s.name)
-           << "\", \"kind\": \""
-           << (s.is_histogram ? "histogram" : "counter") << "\", ";
-        windowJson(os, s, "1s", s.w1s);
-        os << ", ";
-        windowJson(os, s, "10s", s.w10s);
-        os << ", ";
-        windowJson(os, s, "60s", s.w60s);
-        os << "}\n";
-    }
-    return os.str();
+    std::string text;
+    for (const SeriesSample &s : snap.series)
+        appendSeriesJsonl(text, s.name, s.is_histogram,
+                          {s.w1s, s.w10s, s.w60s});
+    return text;
 }
 
 PeriodicExporter::PeriodicExporter(const MetricsRegistry &registry,
@@ -340,8 +455,11 @@ PeriodicExporter::exportOnce()
     refreshRuntimeMetrics();
     const uint64_t tick =
         tick_count.fetch_add(1, std::memory_order_relaxed);
-    out << "# export tick=" << tick << "\n"
-        << renderJsonl(reg.snapshot());
+    std::vector<MetricView> view;
+    reg.view({}, view);
+    std::string text = "# export tick=" + std::to_string(tick) + "\n";
+    appendJsonl(text, view);
+    out << text;
     out.flush();
 }
 

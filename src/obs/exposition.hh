@@ -1,6 +1,6 @@
 /**
  * @file
- * Exposition: rendering a MetricsSnapshot for external consumers.
+ * Exposition: rendering the live metrics for external consumers.
  *
  * Two formats:
  *  - Prometheus text format (v0.0.4): counters and gauges as typed
@@ -11,6 +11,14 @@
  *  - JSONL: one self-describing JSON object per metric per line —
  *    the format the benches' periodic export hooks append to a
  *    file, one block per export tick.
+ *
+ * One live pass: the renderers read MetricsRegistry::view() and
+ * TimeSeriesRegistry::forEach(), which load the live atomics in
+ * name order, and append text straight into one caller-owned buffer
+ * (TextOut) — the reply frame itself on the query-metrics path.
+ * Nothing is copied into snapshots first. The snapshot overloads
+ * (renderPrometheus(const MetricsSnapshot &) and friends) are thin
+ * adapters onto the same line writers.
  *
  * PeriodicExporter is the push-side hook: a background thread that
  * renders the registry to a stream every interval, used by the
@@ -23,16 +31,58 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <iosfwd>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "obs/timeseries.hh"
 
 namespace livephase::obs
 {
+
+/**
+ * Append-only handle on a caller-owned text buffer: a std::string,
+ * or the byte vector a response frame is being encoded into, so a
+ * scrape writes its text where it is sent from.
+ */
+class TextOut
+{
+  public:
+    TextOut(std::string &text) : str(&text) {}
+    TextOut(std::vector<uint8_t> &frame) : bytes(&frame) {}
+
+    void append(std::string_view text)
+    {
+        if (str) {
+            str->append(text);
+            return;
+        }
+        const auto *p =
+            reinterpret_cast<const uint8_t *>(text.data());
+        bytes->insert(bytes->end(), p, p + text.size());
+    }
+
+    void append(char c) { append(std::string_view(&c, 1)); }
+
+    /** printf("%.10g"), the format every rendered value uses. */
+    void number(double v);
+
+    /** printf("%.*f", decimals, v). */
+    void fixed(double v, int decimals);
+
+    /** Decimal u64 (counts). */
+    void count(uint64_t v);
+
+  private:
+    std::string *str = nullptr;
+    std::vector<uint8_t> *bytes = nullptr;
+};
 
 /** Wire values of the query-metrics format selector (u16). */
 enum class ExpositionFormat : uint16_t
@@ -45,11 +95,12 @@ enum class ExpositionFormat : uint16_t
 /** nullopt for unknown raw values. */
 const char *expositionFormatName(ExpositionFormat format);
 
-/** Prometheus text format. */
-std::string renderPrometheus(const MetricsSnapshot &snap);
+/** Prometheus text format, metrics in the given (name) order. */
+void appendPrometheus(TextOut out,
+                      std::span<const MetricView> metrics);
 
 /** One JSON object per metric per line. */
-std::string renderJsonl(const MetricsSnapshot &snap);
+void appendJsonl(TextOut out, std::span<const MetricView> metrics);
 
 /**
  * Windowed time-series exposition (obs/timeseries.hh): per series,
@@ -57,6 +108,13 @@ std::string renderJsonl(const MetricsSnapshot &snap);
  * stat="p99"}` (Prometheus) or one JSON object per series per line
  * carrying all three windows (JSONL).
  */
+void appendTimeSeriesPrometheus(TextOut out,
+                                const TimeSeriesRegistry &reg);
+void appendTimeSeriesJsonl(TextOut out, const TimeSeriesRegistry &reg);
+
+/** Snapshot adapters onto the same writers (tests, inspection). */
+std::string renderPrometheus(const MetricsSnapshot &snap);
+std::string renderJsonl(const MetricsSnapshot &snap);
 std::string renderTimeSeriesPrometheus(
     const TimeSeriesSnapshot &snap);
 std::string renderTimeSeriesJsonl(const TimeSeriesSnapshot &snap);

@@ -91,32 +91,105 @@ Histogram::snapshot() const
     return snap;
 }
 
+namespace
+{
+
+/** 1-based rank of the p-th percentile order statistic. */
+uint64_t
+quantileRank(double p, uint64_t count)
+{
+    p = std::clamp(p, 0.0, 100.0);
+    const auto target = static_cast<uint64_t>(
+        std::ceil(p / 100.0 * static_cast<double>(count)));
+    return std::max<uint64_t>(target, 1);
+}
+
+/**
+ * The one quantile reader: for ascending percentiles `ps`, one walk
+ * over `n` buckets read through `at(b)` finds the bucket holding
+ * each rank, interpolates linearly inside it and clamps to the exact
+ * max (the overflow bucket's upper bound is the max itself).
+ */
+template <class At>
+void
+walkQuantiles(At at, size_t n, uint64_t count, double max,
+              std::span<const double> ps, double *out)
+{
+    size_t q = 0;
+    if (count == 0) {
+        for (; q < ps.size(); ++q)
+            out[q] = 0.0;
+        return;
+    }
+    uint64_t rank = quantileRank(ps[0], count);
+    uint64_t seen = 0;
+    for (size_t b = 0; b < n && q < ps.size(); ++b) {
+        const uint64_t in_bucket = at(b);
+        if (in_bucket == 0)
+            continue;
+        while (q < ps.size() && seen + in_bucket >= rank) {
+            const double lo = Histogram::bucketLowerBound(b);
+            const double hi =
+                b + 1 == n ? max : Histogram::bucketUpperBound(b);
+            const double frac = static_cast<double>(rank - seen) /
+                static_cast<double>(in_bucket);
+            out[q] = std::min(lo + (hi - lo) * frac, max);
+            if (++q < ps.size())
+                rank = quantileRank(ps[q], count);
+        }
+        seen += in_bucket;
+    }
+    for (; q < ps.size(); ++q)
+        out[q] = max;
+}
+
+template <class At>
+HistogramSummary
+summarize(At at, size_t n, uint64_t count, double sum, double max)
+{
+    static constexpr double PS[] = {50.0, 90.0, 99.0};
+    double qs[3];
+    walkQuantiles(at, n, count, max, PS, qs);
+    return {count, sum, max, qs[0], qs[1], qs[2]};
+}
+
+/** summarize() over a plain bucket array. */
+HistogramSummary
+summarizeBuckets(std::span<const uint64_t> buckets, uint64_t count,
+                 double sum, double max)
+{
+    return summarize([buckets](size_t b) { return buckets[b]; },
+                     buckets.size(), count, sum, max);
+}
+
+} // namespace
+
+HistogramSummary
+Histogram::summary() const
+{
+    const uint64_t c = count();
+    const double s = sum();
+    const double m = max();
+    return summarize(
+        [this](size_t b) {
+            return buckets[b].load(std::memory_order_relaxed);
+        },
+        HISTOGRAM_BUCKETS, c, s, m);
+}
+
 double
 HistogramSnapshot::quantile(double p) const
 {
-    if (count == 0)
-        return 0.0;
-    p = std::clamp(p, 0.0, 100.0);
-    // 1-based rank of the requested order statistic.
-    const auto target = static_cast<uint64_t>(
-        std::ceil(p / 100.0 * static_cast<double>(count)));
-    const uint64_t rank = std::max<uint64_t>(target, 1);
-    uint64_t seen = 0;
-    for (size_t b = 0; b < buckets.size(); ++b) {
-        if (buckets[b] == 0)
-            continue;
-        if (seen + buckets[b] >= rank) {
-            const double lo = Histogram::bucketLowerBound(b);
-            const double hi = b + 1 == buckets.size()
-                ? max // overflow bucket: best bound we have
-                : Histogram::bucketUpperBound(b);
-            const double frac = static_cast<double>(rank - seen) /
-                static_cast<double>(buckets[b]);
-            return std::min(lo + (hi - lo) * frac, max);
-        }
-        seen += buckets[b];
-    }
-    return max;
+    double q;
+    walkQuantiles([this](size_t b) { return buckets[b]; },
+                  buckets.size(), count, max, {&p, 1}, &q);
+    return q;
+}
+
+HistogramSummary
+HistogramSnapshot::summary() const
+{
+    return summarizeBuckets(buckets, count, sum, max);
 }
 
 void
@@ -129,6 +202,27 @@ HistogramSnapshot::merge(const HistogramSnapshot &other)
         buckets.resize(other.buckets.size());
     for (size_t b = 0; b < other.buckets.size(); ++b)
         buckets[b] += other.buckets[b];
+}
+
+HistogramSummary
+HistogramSum::summary() const
+{
+    return summarizeBuckets(buckets, count, sum, max);
+}
+
+void
+HistogramSum::add(const Histogram &h)
+{
+    // An empty histogram adds nothing (its sum and max are 0.0 and
+    // neither can be -0.0), so idle window cells cost one load.
+    const uint64_t n = h.count();
+    if (n == 0)
+        return;
+    count += n;
+    sum += h.sum();
+    max = std::max(max, h.max());
+    for (size_t b = 0; b < HISTOGRAM_BUCKETS; ++b)
+        buckets[b] += h.buckets[b].load(std::memory_order_relaxed);
 }
 
 // --- snapshot ----------------------------------------------------
@@ -198,7 +292,7 @@ MetricsRegistry::findOrCreate(const std::string &name,
 {
     Shard &shard = shardFor(name);
     std::lock_guard lock(shard.mu);
-    auto [it, inserted] = shard.metrics.try_emplace(name);
+    auto [it, inserted] = shard.map.try_emplace(name);
     Entry &entry = it->second;
     if (inserted) {
         entry.kind = kind;
@@ -213,6 +307,7 @@ MetricsRegistry::findOrCreate(const std::string &name,
             entry.histogram = std::make_unique<Histogram>();
             break;
         }
+        index.noteInsert();
     } else if (entry.kind != kind) {
         panic("MetricsRegistry: '%s' registered as %s, requested as "
               "%s",
@@ -246,20 +341,82 @@ MetricsRegistry::size() const
     size_t total = 0;
     for (const Shard &shard : shards) {
         std::lock_guard lock(shard.mu);
-        total += shard.metrics.size();
+        total += shard.map.size();
     }
     return total;
+}
+
+namespace
+{
+
+MetricView
+viewOf(const MetricRef &ref)
+{
+    MetricView v{ref.name, ref.kind, ref.value, {}};
+    if (ref.kind == MetricKind::Histogram && ref.hist)
+        v.hist = ref.hist->summary();
+    return v;
+}
+
+} // namespace
+
+void
+MetricsRegistry::view(std::span<const MetricRef> extra,
+                      std::vector<MetricView> &out) const
+{
+    out.clear();
+    index.visit(shards, [&](std::span<const Item *const> items) {
+        size_t e = 0;
+        for (const Item *item : items) {
+            const std::string_view name = item->first;
+            while (e < extra.size() && extra[e].name < name)
+                out.push_back(viewOf(extra[e++]));
+            const Entry &entry = item->second;
+            MetricRef ours{name, entry.kind, 0.0, nullptr};
+            switch (entry.kind) {
+              case MetricKind::Counter:
+                ours.value =
+                    static_cast<double>(entry.counter->value());
+                break;
+              case MetricKind::Gauge:
+                ours.value = entry.gauge->value();
+                break;
+              case MetricKind::Histogram:
+                ours.hist = entry.histogram.get();
+                break;
+            }
+            if (e == extra.size() || extra[e].name != name) {
+                out.push_back(viewOf(ours));
+                continue;
+            }
+            // Same name on both sides: the registry's kind decides.
+            const MetricRef &theirs = extra[e++];
+            MetricView both{name, ours.kind, ours.value, {}};
+            if (ours.kind == MetricKind::Histogram) {
+                HistogramSum merged;
+                merged.add(*ours.hist);
+                if (theirs.hist)
+                    merged.add(*theirs.hist);
+                both.hist = merged.summary();
+            } else {
+                both.value += theirs.value;
+            }
+            out.push_back(both);
+        }
+        while (e < extra.size())
+            out.push_back(viewOf(extra[e++]));
+    });
 }
 
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
     MetricsSnapshot snap;
-    for (const Shard &shard : shards) {
-        std::lock_guard lock(shard.mu);
-        for (const auto &[name, entry] : shard.metrics) {
+    index.visit(shards, [&](std::span<const Item *const> items) {
+        for (const Item *item : items) {
+            const Entry &entry = item->second;
             MetricSample sample;
-            sample.name = name;
+            sample.name = item->first;
             sample.kind = entry.kind;
             switch (entry.kind) {
               case MetricKind::Counter:
@@ -275,11 +432,7 @@ MetricsRegistry::snapshot() const
             }
             snap.samples.push_back(std::move(sample));
         }
-    }
-    std::sort(snap.samples.begin(), snap.samples.end(),
-              [](const MetricSample &a, const MetricSample &b) {
-                  return a.name < b.name;
-              });
+    });
     return snap;
 }
 

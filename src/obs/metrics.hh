@@ -25,19 +25,27 @@
  * trailing Prometheus label set baked into the registered name
  * (e.g. `livephase_service_op_latency_us{op="open"}`).
  *
- * snapshot() produces an immutable, mergeable copy; rendering to
- * Prometheus text or JSONL lives in obs/exposition.hh.
+ * A scrape reads the live metrics in place: view() hands the
+ * renderer every entry sorted by name, with counter and gauge values
+ * loaded and each histogram summarized (count/sum/max/p50/p90/p99)
+ * in one walk over its buckets — no per-metric copy, no heap
+ * allocation once the caller's view vector is warm. snapshot() is
+ * the owning, mergeable copy kept for inspection and tests.
+ * Rendering to Prometheus text or JSONL lives in obs/exposition.hh.
  */
 
 #ifndef LIVEPHASE_OBS_METRICS_HH
 #define LIVEPHASE_OBS_METRICS_HH
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -102,6 +110,23 @@ constexpr size_t HISTOGRAM_BUCKETS =
     static_cast<size_t>(LOG_MAX_EXP - LOG_MIN_EXP) * LOG_SUBBUCKETS +
     2;
 
+/** What exposition reads off one histogram: exact aggregates plus
+ *  the three quantiles it renders. */
+struct HistogramSummary
+{
+    uint64_t count = 0;
+    double sum = 0.0;
+    double max = 0.0;
+    double p50 = 0.0;
+    double p90 = 0.0;
+    double p99 = 0.0;
+
+    double mean() const
+    {
+        return count == 0 ? 0.0 : sum / static_cast<double>(count);
+    }
+};
+
 /** Immutable copy of a Histogram; mergeable across shards/hosts. */
 struct HistogramSnapshot
 {
@@ -121,6 +146,8 @@ struct HistogramSnapshot
      * @param p percentile in [0, 100].
      */
     double quantile(double p) const;
+
+    HistogramSummary summary() const;
 
     /** Element-wise accumulation (exact for count/sum, max of max). */
     void merge(const HistogramSnapshot &other);
@@ -162,6 +189,11 @@ class Histogram
 
     HistogramSnapshot snapshot() const;
 
+    /** Count, sum, max and p50/p90/p99 from one walk over the live
+     *  buckets; equal to snapshot().summary() when no writer races
+     *  the read. */
+    HistogramSummary summary() const;
+
     /**
      * Reset all buckets and aggregates to zero. NOT safe against
      * concurrent record() — callers must guarantee no writer is
@@ -171,10 +203,30 @@ class Histogram
     void clear();
 
   private:
+    friend struct HistogramSum;
+
     std::array<std::atomic<uint64_t>, HISTOGRAM_BUCKETS> buckets{};
     std::atomic<uint64_t> n{0};
     std::atomic<double> total{0.0};
     std::atomic<double> peak{0.0};
+};
+
+/**
+ * Bucket-wise sum of live histograms on the stack: the merge target
+ * a scrape uses for a sliding window's cells or for two metrics that
+ * share a name. Adding in the same order as HistogramSnapshot::merge
+ * keeps every value bit-identical to merging snapshots.
+ */
+struct HistogramSum
+{
+    uint64_t count = 0;
+    double sum = 0.0;
+    double max = 0.0;
+    std::array<uint64_t, HISTOGRAM_BUCKETS> buckets{};
+
+    void add(const Histogram &h);
+
+    HistogramSummary summary() const;
 };
 
 enum class MetricKind
@@ -212,6 +264,81 @@ struct MetricsSnapshot
 };
 
 /**
+ * A metric as a scrape contributes it: a name plus a value
+ * (counter/gauge) or a live histogram. Not owning; the name and the
+ * histogram must outlive the view() call it is passed to.
+ */
+struct MetricRef
+{
+    std::string_view name;
+    MetricKind kind = MetricKind::Counter;
+    double value = 0.0;
+    const Histogram *hist = nullptr;
+};
+
+/** One metric as the renderer reads it (obs/exposition.hh). */
+struct MetricView
+{
+    std::string_view name; ///< full name, optional {labels} suffix
+    MetricKind kind = MetricKind::Counter;
+    double value = 0.0;        ///< counter/gauge
+    HistogramSummary hist{};   ///< histogram only
+};
+
+namespace detail
+{
+
+/**
+ * Name-sorted pointers into a sharded name -> entry map, rebuilt
+ * only when something was registered since the last build. Map
+ * nodes are never erased, so the pointers stay valid; a scrape walks
+ * them in order instead of copying and sorting the registry.
+ */
+template <class Entry>
+class SortedIndex
+{
+  public:
+    using Item = std::pair<const std::string, Entry>;
+
+    /** Call under the shard lock, after the insert. */
+    void noteInsert()
+    {
+        inserts.fetch_add(1, std::memory_order_release);
+    }
+
+    /** fn(std::span<const Item *const>) under the index lock. */
+    template <class Shards, class Fn>
+    void visit(const Shards &shards, Fn &&fn) const
+    {
+        std::lock_guard lock(mu);
+        const uint64_t seen =
+            inserts.load(std::memory_order_acquire);
+        if (seen != built_for) {
+            items.clear();
+            for (const auto &shard : shards) {
+                std::lock_guard shard_lock(shard.mu);
+                for (const Item &item : shard.map)
+                    items.push_back(&item);
+            }
+            std::sort(items.begin(), items.end(),
+                      [](const Item *a, const Item *b) {
+                          return a->first < b->first;
+                      });
+            built_for = seen;
+        }
+        fn(std::span<const Item *const>(items));
+    }
+
+  private:
+    mutable std::mutex mu;
+    mutable std::vector<const Item *> items;
+    mutable uint64_t built_for = 0;
+    std::atomic<uint64_t> inserts{0};
+};
+
+} // namespace detail
+
+/**
  * Name-sharded registry of metrics. Registration is mutex-guarded
  * per shard; handed-out references stay valid for the registry's
  * lifetime, so the hot path never touches the map again.
@@ -231,6 +358,17 @@ class MetricsRegistry
     /** Number of registered metrics. */
     size_t size() const;
 
+    /**
+     * The scrape read: every registered metric plus `extra` (sorted
+     * by name), merged by name into `out` (cleared first, capacity
+     * reused). Values come from the live atomics; a registry entry
+     * and an `extra` of the same name combine as
+     * MetricsSnapshot::merge does: values add, histograms merge.
+     */
+    void view(std::span<const MetricRef> extra,
+              std::vector<MetricView> &out) const;
+
+    /** Owning copy sorted by name, for inspection and tests. */
     MetricsSnapshot snapshot() const;
 
   private:
@@ -243,11 +381,12 @@ class MetricsRegistry
         std::unique_ptr<Gauge> gauge;
         std::unique_ptr<Histogram> histogram;
     };
+    using Item = detail::SortedIndex<Entry>::Item;
 
     struct Shard
     {
         mutable std::mutex mu;
-        std::unordered_map<std::string, Entry> metrics;
+        std::unordered_map<std::string, Entry> map;
     };
 
     Entry &findOrCreate(const std::string &name, MetricKind kind);
@@ -255,6 +394,7 @@ class MetricsRegistry
     Shard &shardFor(const std::string &name);
 
     std::array<Shard, SHARDS> shards;
+    detail::SortedIndex<Entry> index;
 };
 
 } // namespace livephase::obs

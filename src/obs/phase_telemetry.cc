@@ -1,8 +1,7 @@
 #include "obs/phase_telemetry.hh"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
+#include <utility>
 
 namespace livephase::obs
 {
@@ -29,26 +28,6 @@ hitRate(uint64_t predictions, uint64_t mispredictions)
                                      : 0;
     return static_cast<double>(hits) /
         static_cast<double>(predictions);
-}
-
-void
-appendf(std::string &out, const char *fmt, ...)
-#if defined(__GNUC__)
-    __attribute__((format(printf, 2, 3)))
-#endif
-    ;
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    const int n = vsnprintf(buf, sizeof buf, fmt, ap);
-    va_end(ap);
-    if (n > 0)
-        out.append(buf, std::min(static_cast<size_t>(n),
-                                 sizeof buf - 1));
 }
 
 } // namespace
@@ -157,128 +136,147 @@ PhaseTelemetry::snapshot() const
         static_cast<double>(
             TimeSeriesRegistry::global().slotDurationNs()) *
         1e-9;
-    snap.pred_1s = pred_series.stats(Window::OneSecond, slot_s);
-    snap.pred_10s = pred_series.stats(Window::TenSeconds, slot_s);
-    snap.pred_60s = pred_series.stats(Window::SixtySeconds, slot_s);
-    const WindowStats m1 =
-        miss_series.stats(Window::OneSecond, slot_s);
-    const WindowStats m10 =
-        miss_series.stats(Window::TenSeconds, slot_s);
-    const WindowStats m60 =
-        miss_series.stats(Window::SixtySeconds, slot_s);
-    snap.hit_rate_1s = hitRate(snap.pred_1s.count, m1.count);
-    snap.hit_rate_10s = hitRate(snap.pred_10s.count, m10.count);
-    snap.hit_rate_60s = hitRate(snap.pred_60s.count, m60.count);
+    const WindowSet pred = pred_series.windows(slot_s);
+    const WindowSet miss = miss_series.windows(slot_s);
+    snap.pred_1s = pred[0];
+    snap.pred_10s = pred[1];
+    snap.pred_60s = pred[2];
+    snap.hit_rate_1s = hitRate(pred[0].count, miss[0].count);
+    snap.hit_rate_10s = hitRate(pred[1].count, miss[1].count);
+    snap.hit_rate_60s = hitRate(pred[2].count, miss[2].count);
     return snap;
+}
+
+void
+PhaseTelemetry::appendJson(TextOut out) const
+{
+    const PhaseTelemetrySnapshot s = snapshot();
+    out.append("{\"classified\":");
+    out.count(s.classified);
+    out.append(",\"predictions\":");
+    out.count(s.predictions);
+    out.append(",\"mispredictions\":");
+    out.count(s.mispredictions);
+    out.append(",\"transitions\":");
+    out.count(s.transitions);
+    out.append(",\"hit_rate\":");
+    out.fixed(s.cumulativeHitRate(), 6);
+    out.append(",\"hit_rate_1s\":");
+    out.fixed(s.hit_rate_1s, 6);
+    out.append(",\"hit_rate_10s\":");
+    out.fixed(s.hit_rate_10s, 6);
+    out.append(",\"hit_rate_60s\":");
+    out.fixed(s.hit_rate_60s, 6);
+    out.append(",\"prediction_rate_10s\":");
+    out.fixed(s.pred_10s.rate, 3);
+    out.append(',');
+
+    // {"<key>":<n>,...} over the nonzero cells.
+    const auto counts = [&out](const uint64_t *cells, size_t n,
+                               size_t key_base) {
+        out.append('{');
+        bool first = true;
+        for (size_t i = 0; i < n; ++i) {
+            if (!cells[i])
+                continue;
+            out.append(first ? "\"" : ",\"");
+            out.count(i + key_base);
+            out.append("\":");
+            out.count(cells[i]);
+            first = false;
+        }
+        out.append('}');
+    };
+    out.append("\"residency\":");
+    counts(s.residency.data(), PT_MAX_PHASES, 1);
+    out.append(",\"transitions_matrix\":[");
+    bool first = true;
+    for (size_t from = 0; from < PT_MAX_PHASES; ++from) {
+        for (size_t to = 0; to < PT_MAX_PHASES; ++to) {
+            const uint64_t n = s.matrix[from * PT_MAX_PHASES + to];
+            if (!n)
+                continue;
+            out.append(first ? "{\"from\":" : ",{\"from\":");
+            out.count(from + 1);
+            out.append(",\"to\":");
+            out.count(to + 1);
+            out.append(",\"count\":");
+            out.count(n);
+            out.append('}');
+            first = false;
+        }
+    }
+    out.append("],\"dvfs_actions\":");
+    counts(s.dvfs_actions.data(), PT_MAX_ACTIONS, 0);
+    out.append('}');
+}
+
+void
+PhaseTelemetry::appendPrometheus(TextOut out) const
+{
+    const PhaseTelemetrySnapshot s = snapshot();
+    out.append("# TYPE livephase_phase_hit_rate gauge\n");
+    const std::pair<const char *, double> hit_rates[] = {
+        {"1s", s.hit_rate_1s},
+        {"10s", s.hit_rate_10s},
+        {"60s", s.hit_rate_60s},
+        {"cumulative", s.cumulativeHitRate()}};
+    for (const auto &[window, rate] : hit_rates) {
+        out.append("livephase_phase_hit_rate{window=\"");
+        out.append(window);
+        out.append("\"} ");
+        out.fixed(rate, 6);
+        out.append('\n');
+    }
+    // `<series>{<label>="<key>"} <n>` per nonzero cell.
+    const auto line = [&out](const char *series_label, size_t key,
+                             uint64_t n) {
+        out.append(series_label);
+        out.count(key);
+        out.append("\"} ");
+        out.count(n);
+        out.append('\n');
+    };
+    out.append("# TYPE livephase_phase_residency_total counter\n");
+    for (size_t p = 0; p < PT_MAX_PHASES; ++p) {
+        if (s.residency[p])
+            line("livephase_phase_residency_total{phase=\"", p + 1,
+                 s.residency[p]);
+    }
+    out.append("# TYPE livephase_phase_transition_total counter\n");
+    for (size_t from = 0; from < PT_MAX_PHASES; ++from) {
+        for (size_t to = 0; to < PT_MAX_PHASES; ++to) {
+            const uint64_t n = s.matrix[from * PT_MAX_PHASES + to];
+            if (!n)
+                continue;
+            out.append("livephase_phase_transition_total{from=\"");
+            out.count(from + 1);
+            out.append("\",to=\"");
+            line("", to + 1, n);
+        }
+    }
+    out.append("# TYPE livephase_dvfs_action_total counter\n");
+    for (size_t a = 0; a < PT_MAX_ACTIONS; ++a) {
+        if (s.dvfs_actions[a])
+            line("livephase_dvfs_action_total{index=\"", a,
+                 s.dvfs_actions[a]);
+    }
 }
 
 std::string
 PhaseTelemetry::renderJson() const
 {
-    const PhaseTelemetrySnapshot s = snapshot();
-    std::string out;
-    out.reserve(1024);
-    out += "{";
-    appendf(out,
-            "\"classified\":%llu,\"predictions\":%llu,"
-            "\"mispredictions\":%llu,\"transitions\":%llu,",
-            static_cast<unsigned long long>(s.classified),
-            static_cast<unsigned long long>(s.predictions),
-            static_cast<unsigned long long>(s.mispredictions),
-            static_cast<unsigned long long>(s.transitions));
-    appendf(out, "\"hit_rate\":%.6f,", s.cumulativeHitRate());
-    appendf(out,
-            "\"hit_rate_1s\":%.6f,\"hit_rate_10s\":%.6f,"
-            "\"hit_rate_60s\":%.6f,",
-            s.hit_rate_1s, s.hit_rate_10s, s.hit_rate_60s);
-    appendf(out, "\"prediction_rate_10s\":%.3f,", s.pred_10s.rate);
-
-    out += "\"residency\":{";
-    bool first = true;
-    for (size_t p = 0; p < PT_MAX_PHASES; ++p) {
-        if (!s.residency[p])
-            continue;
-        appendf(out, "%s\"%zu\":%llu", first ? "" : ",", p + 1,
-                static_cast<unsigned long long>(s.residency[p]));
-        first = false;
-    }
-    out += "},\"transitions_matrix\":[";
-    first = true;
-    for (size_t from = 0; from < PT_MAX_PHASES; ++from) {
-        for (size_t to = 0; to < PT_MAX_PHASES; ++to) {
-            const uint64_t n = s.matrix[from * PT_MAX_PHASES + to];
-            if (!n)
-                continue;
-            appendf(out,
-                    "%s{\"from\":%zu,\"to\":%zu,\"count\":%llu}",
-                    first ? "" : ",", from + 1, to + 1,
-                    static_cast<unsigned long long>(n));
-            first = false;
-        }
-    }
-    out += "],\"dvfs_actions\":{";
-    first = true;
-    for (size_t a = 0; a < PT_MAX_ACTIONS; ++a) {
-        if (!s.dvfs_actions[a])
-            continue;
-        appendf(out, "%s\"%zu\":%llu", first ? "" : ",", a,
-                static_cast<unsigned long long>(s.dvfs_actions[a]));
-        first = false;
-    }
-    out += "}}";
-    return out;
+    std::string text;
+    appendJson(text);
+    return text;
 }
 
 std::string
 PhaseTelemetry::renderPrometheus() const
 {
-    const PhaseTelemetrySnapshot s = snapshot();
-    std::string out;
-    out.reserve(1024);
-    out += "# TYPE livephase_phase_hit_rate gauge\n";
-    appendf(out, "livephase_phase_hit_rate{window=\"1s\"} %.6f\n",
-            s.hit_rate_1s);
-    appendf(out, "livephase_phase_hit_rate{window=\"10s\"} %.6f\n",
-            s.hit_rate_10s);
-    appendf(out, "livephase_phase_hit_rate{window=\"60s\"} %.6f\n",
-            s.hit_rate_60s);
-    appendf(out,
-            "livephase_phase_hit_rate{window=\"cumulative\"} "
-            "%.6f\n",
-            s.cumulativeHitRate());
-    out += "# TYPE livephase_phase_residency_total counter\n";
-    for (size_t p = 0; p < PT_MAX_PHASES; ++p) {
-        if (!s.residency[p])
-            continue;
-        appendf(out,
-                "livephase_phase_residency_total{phase=\"%zu\"} "
-                "%llu\n",
-                p + 1,
-                static_cast<unsigned long long>(s.residency[p]));
-    }
-    out += "# TYPE livephase_phase_transition_total counter\n";
-    for (size_t from = 0; from < PT_MAX_PHASES; ++from) {
-        for (size_t to = 0; to < PT_MAX_PHASES; ++to) {
-            const uint64_t n = s.matrix[from * PT_MAX_PHASES + to];
-            if (!n)
-                continue;
-            appendf(out,
-                    "livephase_phase_transition_total{from=\"%zu\","
-                    "to=\"%zu\"} %llu\n",
-                    from + 1, to + 1,
-                    static_cast<unsigned long long>(n));
-        }
-    }
-    out += "# TYPE livephase_dvfs_action_total counter\n";
-    for (size_t a = 0; a < PT_MAX_ACTIONS; ++a) {
-        if (!s.dvfs_actions[a])
-            continue;
-        appendf(out,
-                "livephase_dvfs_action_total{index=\"%zu\"} %llu\n",
-                a,
-                static_cast<unsigned long long>(s.dvfs_actions[a]));
-    }
-    return out;
+    std::string text;
+    appendPrometheus(text);
+    return text;
 }
 
 void

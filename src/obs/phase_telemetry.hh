@@ -18,8 +18,9 @@
  * Hot-path contract: sessions accumulate a PhaseBatchDelta on the
  * stack while holding their own lock, then flush it here with one
  * relaxed atomic add per *nonzero* cell — no locks, no allocation,
- * nothing proportional to batch size. Exposition walks the atomics
- * and renders; it never blocks writers.
+ * nothing proportional to batch size. Exposition loads the atomics
+ * into a stack snapshot and appends its text to the caller's
+ * buffer; it never blocks writers.
  */
 
 #ifndef LIVEPHASE_OBS_PHASE_TELEMETRY_HH
@@ -30,6 +31,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/exposition.hh"
 #include "obs/timeseries.hh"
 
 namespace livephase::obs
@@ -98,20 +100,24 @@ class PhaseTelemetry
     PhaseTelemetrySnapshot snapshot() const;
 
     /**
-     * Render the snapshot as JSON (query-phases response body and
+     * Append the snapshot as JSON (query-phases response body and
      * the JSONL artifact line): fleet totals, windowed hit rates,
      * per-phase residency, nonzero transition-matrix cells, and
      * DVFS-action counts.
      */
-    std::string renderJson() const;
+    void appendJson(TextOut out) const;
 
     /**
-     * Render Prometheus text lines for the nonzero labeled cells
+     * Append Prometheus text lines for the nonzero labeled cells
      * (`livephase_phase_residency_total{phase="3"}`,
      * `livephase_phase_transition_total{from="2",to="3"}`,
      * `livephase_dvfs_action_total{index="1"}`, windowed hit-rate
-     * gauges). Appended by the service's metricsText.
+     * gauges). Appended by the service's metrics scrape.
      */
+    void appendPrometheus(TextOut out) const;
+
+    /** The appenders into a fresh string. */
+    std::string renderJson() const;
     std::string renderPrometheus() const;
 
     /** Reset all cells and windows — tests only (not thread-safe

@@ -87,7 +87,7 @@ const BuildInfo &buildInfo();
  * `livephase_build_info{version=...,git_sha=...,compiler=...}` (a
  * constant-1 gauge carrying its facts as labels, the Prometheus
  * build-info idiom) and `livephase_uptime_seconds`. Called by the
- * exposition paths (service metricsText, PeriodicExporter) right
+ * exposition paths (service appendMetricsText, PeriodicExporter) right
  * before each render, so both Prometheus and JSONL always carry a
  * fresh uptime.
  */

@@ -33,39 +33,69 @@ windowSlots(Window w)
 
 // --- windowed histogram ------------------------------------------
 
-HistogramSnapshot
-WindowedHistogram::windowSnapshot(size_t slots) const
+namespace
 {
-    slots = std::min(slots, TS_SLOTS - 2);
+
+WindowStats
+rateOnly(uint64_t count, Window w, double slot_seconds)
+{
+    WindowStats s;
+    s.count = count;
+    const double span = static_cast<double>(windowSlots(w)) *
+        std::max(slot_seconds, 1e-9);
+    s.rate = static_cast<double>(count) / span;
+    return s;
+}
+
+/** Newest cell index (epoch back) the window `w` still covers at
+ *  epoch `cur`. Early in the ring's life there are fewer closed
+ *  cells than the window spans; stop at epoch 0 rather than
+ *  wrapping into unused cells. */
+uint64_t
+lastBack(Window w, uint64_t cur)
+{
+    return std::min<uint64_t>(windowSlots(w), cur);
+}
+
+} // namespace
+
+void
+WindowedHistogram::read(double slot_seconds, size_t n,
+                        WindowStats *out) const
+{
     const uint64_t cur = epoch.load(std::memory_order_relaxed);
-    HistogramSnapshot merged;
-    merged.buckets.resize(HISTOGRAM_BUCKETS);
-    // Live cell plus the `slots` most recently closed cells. Early
-    // in the ring's life there are fewer closed cells than asked
-    // for; stop at epoch 0 rather than wrapping into unused cells.
-    for (size_t back = 0; back <= slots; ++back) {
-        if (back > cur)
-            break;
-        merged.merge(cells[(cur - back) % TS_SLOTS].snapshot());
+    // The live cell, then closed cells newest first: each window is
+    // a prefix of the next, so one pass serves all of them.
+    HistogramSum merged;
+    uint64_t back = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const auto w = static_cast<Window>(i);
+        for (; back <= lastBack(w, cur); ++back)
+            merged.add(cells[(cur - back) % TS_SLOTS]);
+        const HistogramSummary sum = merged.summary();
+        WindowStats &s = out[i];
+        s = rateOnly(merged.count, w, slot_seconds);
+        s.mean = sum.mean();
+        s.p50 = sum.p50;
+        s.p99 = sum.p99;
+        s.max = merged.max;
     }
-    return merged;
 }
 
 WindowStats
 WindowedHistogram::stats(Window w, double slot_seconds) const
 {
-    const size_t slots = windowSlots(w);
-    const HistogramSnapshot snap = windowSnapshot(slots);
-    WindowStats s;
-    s.count = snap.count;
-    const double span =
-        static_cast<double>(slots) * std::max(slot_seconds, 1e-9);
-    s.rate = static_cast<double>(snap.count) / span;
-    s.mean = snap.mean();
-    s.p50 = snap.quantile(50.0);
-    s.p99 = snap.quantile(99.0);
-    s.max = snap.max;
-    return s;
+    WindowSet out;
+    read(slot_seconds, static_cast<size_t>(w) + 1, out.data());
+    return out[static_cast<size_t>(w)];
+}
+
+WindowSet
+WindowedHistogram::windows(double slot_seconds) const
+{
+    WindowSet out;
+    read(slot_seconds, out.size(), out.data());
+    return out;
 }
 
 void
@@ -89,31 +119,36 @@ WindowedHistogram::resetForTest()
 
 // --- windowed counter --------------------------------------------
 
-uint64_t
-WindowedCounter::windowCount(size_t slots) const
+void
+WindowedCounter::read(double slot_seconds, size_t n,
+                      WindowStats *out) const
 {
-    slots = std::min(slots, TS_SLOTS - 2);
     const uint64_t cur = epoch.load(std::memory_order_relaxed);
     uint64_t total = 0;
-    for (size_t back = 0; back <= slots; ++back) {
-        if (back > cur)
-            break;
-        total += cells[(cur - back) % TS_SLOTS].load(
-            std::memory_order_relaxed);
+    uint64_t back = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const auto w = static_cast<Window>(i);
+        for (; back <= lastBack(w, cur); ++back)
+            total += cells[(cur - back) % TS_SLOTS].load(
+                std::memory_order_relaxed);
+        out[i] = rateOnly(total, w, slot_seconds);
     }
-    return total;
 }
 
 WindowStats
 WindowedCounter::stats(Window w, double slot_seconds) const
 {
-    const size_t slots = windowSlots(w);
-    WindowStats s;
-    s.count = windowCount(slots);
-    const double span =
-        static_cast<double>(slots) * std::max(slot_seconds, 1e-9);
-    s.rate = static_cast<double>(s.count) / span;
-    return s;
+    WindowSet out;
+    read(slot_seconds, static_cast<size_t>(w) + 1, out.data());
+    return out[static_cast<size_t>(w)];
+}
+
+WindowSet
+WindowedCounter::windows(double slot_seconds) const
+{
+    WindowSet out;
+    read(slot_seconds, out.size(), out.data());
+    return out;
 }
 
 void
@@ -164,12 +199,13 @@ TimeSeriesRegistry::histogram(const std::string &name)
 {
     Shard &shard = shardFor(name);
     std::lock_guard lock(shard.mu);
-    auto it = shard.series.find(name);
-    if (it == shard.series.end()) {
+    auto it = shard.map.find(name);
+    if (it == shard.map.end()) {
         Entry entry;
         entry.is_histogram = true;
         entry.hist = std::make_unique<WindowedHistogram>();
-        it = shard.series.emplace(name, std::move(entry)).first;
+        it = shard.map.emplace(name, std::move(entry)).first;
+        index.noteInsert();
     }
     if (!it->second.is_histogram)
         panic("time series '%s' registered as counter, requested as "
@@ -183,12 +219,13 @@ TimeSeriesRegistry::counter(const std::string &name)
 {
     Shard &shard = shardFor(name);
     std::lock_guard lock(shard.mu);
-    auto it = shard.series.find(name);
-    if (it == shard.series.end()) {
+    auto it = shard.map.find(name);
+    if (it == shard.map.end()) {
         Entry entry;
         entry.is_histogram = false;
         entry.counter = std::make_unique<WindowedCounter>();
-        it = shard.series.emplace(name, std::move(entry)).first;
+        it = shard.map.emplace(name, std::move(entry)).first;
+        index.noteInsert();
     }
     if (it->second.is_histogram)
         panic("time series '%s' registered as histogram, requested "
@@ -208,8 +245,8 @@ TimeSeriesRegistry::seriesStats(const std::string &name, Window w,
     const Shard &shard =
         shards[std::hash<std::string>{}(name) % SHARDS];
     std::lock_guard lock(shard.mu);
-    const auto it = shard.series.find(name);
-    if (it == shard.series.end())
+    const auto it = shard.map.find(name);
+    if (it == shard.map.end())
         return false;
     out = it->second.is_histogram
         ? it->second.hist->stats(w, slot_s)
@@ -222,7 +259,7 @@ TimeSeriesRegistry::rotateAll()
 {
     for (Shard &shard : shards) {
         std::lock_guard lock(shard.mu);
-        for (auto &[name, entry] : shard.series) {
+        for (auto &[name, entry] : shard.map) {
             if (entry.is_histogram)
                 entry.hist->rotate();
             else
@@ -270,7 +307,7 @@ TimeSeriesRegistry::resetAllForTest()
 {
     for (Shard &shard : shards) {
         std::lock_guard lock(shard.mu);
-        for (auto &[name, entry] : shard.series) {
+        for (auto &[name, entry] : shard.map) {
             if (entry.is_histogram)
                 entry.hist->resetForTest();
             else
@@ -296,7 +333,7 @@ TimeSeriesRegistry::size() const
     size_t total = 0;
     for (const Shard &shard : shards) {
         std::lock_guard lock(shard.mu);
-        total += shard.series.size();
+        total += shard.map.size();
     }
     return total;
 }
@@ -304,38 +341,12 @@ TimeSeriesRegistry::size() const
 TimeSeriesSnapshot
 TimeSeriesRegistry::snapshot() const
 {
-    const double slot_s =
-        static_cast<double>(
-            slot_ns.load(std::memory_order_relaxed)) *
-        1e-9;
     TimeSeriesSnapshot snap;
-    for (const Shard &shard : shards) {
-        std::lock_guard lock(shard.mu);
-        for (const auto &[name, entry] : shard.series) {
-            SeriesSample s;
-            s.name = name;
-            s.is_histogram = entry.is_histogram;
-            if (entry.is_histogram) {
-                s.w1s = entry.hist->stats(Window::OneSecond, slot_s);
-                s.w10s =
-                    entry.hist->stats(Window::TenSeconds, slot_s);
-                s.w60s =
-                    entry.hist->stats(Window::SixtySeconds, slot_s);
-            } else {
-                s.w1s =
-                    entry.counter->stats(Window::OneSecond, slot_s);
-                s.w10s =
-                    entry.counter->stats(Window::TenSeconds, slot_s);
-                s.w60s = entry.counter->stats(Window::SixtySeconds,
-                                              slot_s);
-            }
-            snap.series.push_back(std::move(s));
-        }
-    }
-    std::sort(snap.series.begin(), snap.series.end(),
-              [](const SeriesSample &a, const SeriesSample &b) {
-                  return a.name < b.name;
-              });
+    forEach([&snap](std::string_view name, bool is_histogram,
+                    const WindowSet &w) {
+        snap.series.push_back({std::string(name), is_histogram,
+                               w[0], w[1], w[2]});
+    });
     return snap;
 }
 

@@ -11,9 +11,10 @@
  * allocation, no locks, no fences on the request path. A rotation
  * tick (driven by the watchdog thread, the ratekeeper, or any
  * exposition pass — whoever gets there first wins a CAS) clears the
- * *next* cell and advances the epoch; readers merge the last k
- * closed cells plus the live one into an ordinary
- * HistogramSnapshot and read rate/p50/p99 off it.
+ * *next* cell and advances the epoch. Readers add the live cell and
+ * then the closed cells, newest first, into one stack-resident
+ * HistogramSum and read the 1 s, 10 s and 60 s windows off it as
+ * the walk passes each window's edge: one walk per series.
  *
  * Consistency model: a writer that loads the epoch, then stalls for
  * a full ring revolution (SLOTS seconds) before recording, can land
@@ -30,7 +31,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -69,9 +72,13 @@ struct WindowStats
     double max = 0.0;    ///< histogram only
 };
 
+/** Stats for every window, indexed by Window. */
+using WindowSet = std::array<WindowStats, 3>;
+
 /**
- * Ring of one-second Histogram cells. record() is wait-free;
- * window(k) merges the live cell plus the last k closed cells.
+ * Ring of one-second Histogram cells. record() is wait-free; a
+ * window over k slots merges the live cell plus the last k closed
+ * cells.
  */
 class WindowedHistogram
 {
@@ -85,12 +92,11 @@ class WindowedHistogram
             .record(value);
     }
 
-    /** Merged snapshot over the live cell + last `slots` closed
-     *  cells. */
-    HistogramSnapshot windowSnapshot(size_t slots) const;
-
     /** Stats over a named window at the current slot duration. */
     WindowStats stats(Window w, double slot_seconds) const;
+
+    /** All three windows from one walk over the ring. */
+    WindowSet windows(double slot_seconds) const;
 
     /** Advance the ring: clear the cell one step ahead, then make
      *  it live. Called only by the registry's rotation tick. */
@@ -107,6 +113,9 @@ class WindowedHistogram
     }
 
   private:
+    /** Fill out[0, n) for the first n windows in one walk. */
+    void read(double slot_seconds, size_t n, WindowStats *out) const;
+
     // Heap-backed: HISTOGRAM_BUCKETS atomics x TS_SLOTS is ~165 KiB
     // per series, too big to inline into registry storage. Allocated
     // once at registration, never on the record path.
@@ -129,10 +138,10 @@ class WindowedCounter
             .fetch_add(n, std::memory_order_relaxed);
     }
 
-    /** Events in the live cell + last `slots` closed cells. */
-    uint64_t windowCount(size_t slots) const;
-
     WindowStats stats(Window w, double slot_seconds) const;
+
+    /** All three windows from one walk over the ring. */
+    WindowSet windows(double slot_seconds) const;
 
     void rotate();
 
@@ -146,6 +155,8 @@ class WindowedCounter
     }
 
   private:
+    void read(double slot_seconds, size_t n, WindowStats *out) const;
+
     std::array<std::atomic<uint64_t>, TS_SLOTS> cells{};
     std::atomic<uint64_t> epoch{0};
 };
@@ -160,7 +171,7 @@ struct SeriesSample
     WindowStats w60s{};
 };
 
-/** Point-in-time read of every registered series, sorted by name. */
+/** Owning copy of every registered series, sorted by name. */
 struct TimeSeriesSnapshot
 {
     std::vector<SeriesSample> series;
@@ -226,6 +237,31 @@ class TimeSeriesRegistry
 
     size_t size() const;
 
+    /**
+     * The scrape read: fn(std::string_view name, bool is_histogram,
+     * const WindowSet &windows) for every series in name order, each
+     * series read in one walk over its ring. Runs under the sorted
+     * index's lock, so a registry serves one scrape at a time;
+     * writers and registrations never wait for it.
+     */
+    template <class Fn>
+    void forEach(Fn &&fn) const
+    {
+        const double slot_s =
+            static_cast<double>(
+                slot_ns.load(std::memory_order_relaxed)) *
+            1e-9;
+        index.visit(shards, [&](std::span<const Item *const> items) {
+            for (const Item *item : items) {
+                const Entry &e = item->second;
+                fn(std::string_view(item->first), e.is_histogram,
+                   e.is_histogram ? e.hist->windows(slot_s)
+                                  : e.counter->windows(slot_s));
+            }
+        });
+    }
+
+    /** Owning copy, for inspection and tests. */
     TimeSeriesSnapshot snapshot() const;
 
   private:
@@ -237,11 +273,12 @@ class TimeSeriesRegistry
         std::unique_ptr<WindowedHistogram> hist;
         std::unique_ptr<WindowedCounter> counter;
     };
+    using Item = detail::SortedIndex<Entry>::Item;
 
     struct Shard
     {
         mutable std::mutex mu;
-        std::unordered_map<std::string, Entry> series;
+        std::unordered_map<std::string, Entry> map;
     };
 
     Shard &shardFor(const std::string &name);
@@ -249,6 +286,7 @@ class TimeSeriesRegistry
     void rotateAll();
 
     std::array<Shard, SHARDS> shards;
+    detail::SortedIndex<Entry> index;
     std::atomic<uint64_t> slot_ns{1'000'000'000};
     std::atomic<uint64_t> next_rotation_ns{0};
 };

@@ -768,6 +768,33 @@ encodeMetricsText(const std::string &text)
     return out;
 }
 
+void
+finishResponseInto(Bytes &out)
+{
+    finishFrame(out);
+}
+
+void
+beginMetricsTextResponse(Bytes &out, uint16_t raw_op,
+                         uint64_t session_id, uint16_t version)
+{
+    encodeResponseInto(out, raw_op, session_id, Status::Ok, {},
+                       version);
+    ByteAppender(out).u32(0); // text length, patched at the end
+}
+
+void
+finishMetricsTextResponse(Bytes &out)
+{
+    // Header, u16 status, then the u32 length the text follows.
+    constexpr size_t LENGTH_AT = FRAME_HEADER_SIZE + 2;
+    const auto length =
+        static_cast<uint32_t>(out.size() - LENGTH_AT - 4);
+    for (size_t i = 0; i < 4; ++i)
+        out[LENGTH_AT + i] = static_cast<uint8_t>(length >> (8 * i));
+    finishFrame(out);
+}
+
 std::optional<std::string>
 decodeMetricsText(ByteView body)
 {

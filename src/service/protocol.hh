@@ -566,8 +566,25 @@ uint32_t decodeRetryAfterMs(ByteView body);
 /** SubmitBatch response body: u32 count + IntervalResults. */
 Bytes encodeSubmitResults(const std::vector<IntervalResult> &results);
 
+/** Patch the payload size of a response whose body was appended to
+ *  `out` after encodeResponseInto(out, ..., {}) — for bodies encoded
+ *  in place rather than staged first (the QueryStats body). */
+void finishResponseInto(Bytes &out);
+
 /** QueryMetrics response body: u32 length + UTF-8 text. */
 Bytes encodeMetricsText(const std::string &text);
+
+/**
+ * Start an Ok QueryMetrics response in `out` (cleared, capacity
+ * reused) whose text the caller then appends straight into `out`;
+ * finishMetricsTextResponse() patches the text length and the
+ * payload size. Same bytes as encodeResponseInto() over
+ * encodeMetricsText(), without staging the text anywhere.
+ */
+void beginMetricsTextResponse(Bytes &out, uint16_t raw_op,
+                              uint64_t session_id,
+                              uint16_t version = PROTOCOL_VERSION);
+void finishMetricsTextResponse(Bytes &out);
 
 /** Decode a QueryMetrics response body; nullopt when malformed. */
 std::optional<std::string> decodeMetricsText(ByteView body);

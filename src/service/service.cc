@@ -473,13 +473,18 @@ LivePhaseService::handleFrameInto(ByteView request_frame,
     const double micros =
         static_cast<double>(obs::monoNowNs() - start_ns) / 1e3;
     counters.opLatency(parsed.header.op, micros);
-    // Drain-rate estimate behind retryAfterMs(). Racy read-modify-
-    // write by design: a lost update skews an advisory EWMA by one
-    // sample, which is not worth a CAS loop on the hot path.
-    const double prev =
-        handle_ewma_us.load(std::memory_order_relaxed);
-    handle_ewma_us.store(prev + 0.125 * (micros - prev),
-                         std::memory_order_relaxed);
+    // Drain-rate estimate behind retryAfterMs(). Only SubmitBatch
+    // frames feed it: they are what a backlog is made of, and one
+    // slow scrape among fast batches would otherwise inflate the
+    // advice for the next dozen frames. Racy read-modify-write by
+    // design: a lost update skews an advisory EWMA by one sample,
+    // which is not worth a CAS loop on the hot path.
+    if (static_cast<Op>(parsed.header.op) == Op::SubmitBatch) {
+        const double prev =
+            handle_ewma_us.load(std::memory_order_relaxed);
+        handle_ewma_us.store(prev + 0.125 * (micros - prev),
+                             std::memory_order_relaxed);
+    }
 }
 
 void
@@ -540,8 +545,9 @@ LivePhaseService::dispatch(const RequestView &req, Bytes &out)
         return;
       }
       case Op::QueryStats:
-        encodeResponseInto(out, op, sid, Status::Ok,
-                           encodeStats(stats()), ver);
+        encodeResponseInto(out, op, sid, Status::Ok, {}, ver);
+        encodeStatsInto(out, stats());
+        finishResponseInto(out);
         return;
       case Op::Close:
         encodeResponseInto(out, op, sid,
@@ -551,10 +557,10 @@ LivePhaseService::dispatch(const RequestView &req, Bytes &out)
                            {}, ver);
         return;
       case Op::QueryMetrics:
-        encodeResponseInto(
-            out, op, sid, Status::Ok,
-            encodeMetricsText(metricsText(req.metrics_format)),
-            ver);
+        // The text is rendered straight into the reply frame.
+        beginMetricsTextResponse(out, op, sid, ver);
+        appendMetricsText(out, req.metrics_format);
+        finishMetricsTextResponse(out);
         return;
       case Op::QueryTraces: {
         const std::vector<obs::SpanRecord> spans = req.traces_filter
@@ -598,39 +604,42 @@ LivePhaseService::stats() const
                              queue.highWaterMark());
 }
 
-std::string
-LivePhaseService::metricsText(uint16_t raw_format) const
+void
+LivePhaseService::appendMetricsText(obs::TextOut out,
+                                    uint16_t raw_format) const
 {
     const auto format = static_cast<obs::ExpositionFormat>(raw_format);
-    std::ostringstream out;
     if (format == obs::ExpositionFormat::Trace) {
-        obs::FlightRecorder::global().dump(out);
-        return out.str();
+        std::ostringstream dump;
+        obs::FlightRecorder::global().dump(dump);
+        out.append(dump.str());
+        return;
     }
 
     obs::refreshRuntimeMetrics(); // build info + uptime gauges
-    obs::MetricsSnapshot snap =
-        obs::MetricsRegistry::global().snapshot();
-    counters.fillMetrics(snap, manager.openCount(),
-                         queue.highWaterMark());
+    // One pass over the live metrics: the registry's entries and
+    // this instance's counters, merged by name as they are read.
+    // The view's capacity is reused across this thread's scrapes.
+    static thread_local std::vector<obs::MetricView> view;
+    const auto mine =
+        counters.metricRefs(manager.openCount(), queue.highWaterMark());
+    obs::MetricsRegistry::global().view(mine, view);
     // Splice in the windowed time-series and phase-quality planes:
     // one scrape answers "what is happening *now*", not just
     // since-boot cumulatives. Rotate first so a service scraped by
     // a slow poller still closes its one-second cells on time.
-    obs::TimeSeriesRegistry::global().rotateIfDue();
-    const obs::TimeSeriesSnapshot windows =
-        obs::TimeSeriesRegistry::global().snapshot();
+    obs::TimeSeriesRegistry &windows = obs::TimeSeriesRegistry::global();
+    windows.rotateIfDue();
     if (format == obs::ExpositionFormat::Jsonl) {
-        std::string text = obs::renderJsonl(snap);
-        text += obs::renderTimeSeriesJsonl(windows);
-        text += obs::PhaseTelemetry::global().renderJson();
-        text += "\n";
-        return text;
+        obs::appendJsonl(out, view);
+        obs::appendTimeSeriesJsonl(out, windows);
+        obs::PhaseTelemetry::global().appendJson(out);
+        out.append('\n');
+        return;
     }
-    std::string text = obs::renderPrometheus(snap);
-    text += obs::renderTimeSeriesPrometheus(windows);
-    text += obs::PhaseTelemetry::global().renderPrometheus();
-    return text;
+    obs::appendPrometheus(out, view);
+    obs::appendTimeSeriesPrometheus(out, windows);
+    obs::PhaseTelemetry::global().appendPrometheus(out);
 }
 
 std::string

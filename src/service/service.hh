@@ -31,6 +31,7 @@
 
 #include "admission/admission.hh"
 #include "common/buffer_pool.hh"
+#include "obs/exposition.hh"
 #include "obs/watchdog.hh"
 #include "service/protocol.hh"
 #include "service/request_queue.hh"
@@ -183,10 +184,13 @@ class LivePhaseService
      * Render the service's telemetry (this instance's counters and
      * latency histograms merged with the process-global registry —
      * spans, core pipeline counters) in the requested exposition
-     * format. ExpositionFormat::Trace returns a flight-recorder
-     * dump instead. Unknown raw formats render as Prometheus.
+     * format, appended to `out` (the QueryMetrics reply frame on
+     * the wire path). ExpositionFormat::Trace appends a
+     * flight-recorder dump instead. Unknown raw formats render as
+     * Prometheus.
      */
-    std::string metricsText(uint16_t raw_format) const;
+    void appendMetricsText(obs::TextOut out,
+                           uint16_t raw_format) const;
 
     /** The session store (tests drive eviction/TTL through it). */
     SessionManager &sessionManager() { return manager; }
@@ -262,7 +266,8 @@ class LivePhaseService
     BoundedMpmcQueue<Request> queue;
     std::unique_ptr<admission::AdmissionControl> admit_ctl;
     std::unique_ptr<obs::Watchdog> slo_watchdog;
-    /** EWMA of handleFrameInto latency, µs (relaxed; advisory). */
+    /** EWMA of SubmitBatch handleFrameInto latency, µs (relaxed;
+     *  advisory). */
     std::atomic<double> handle_ewma_us{0.0};
     std::vector<std::thread> pool;
     std::atomic<bool> stopping{false};

@@ -1,5 +1,6 @@
 #include "service/service_stats.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "common/table_writer.hh"
@@ -136,7 +137,15 @@ StatsSnapshot::printJson(std::ostream &os) const
 Bytes
 encodeStats(const StatsSnapshot &snap)
 {
-    ByteWriter w;
+    Bytes out;
+    encodeStatsInto(out, snap);
+    return out;
+}
+
+void
+encodeStatsInto(Bytes &out, const StatsSnapshot &snap)
+{
+    ByteAppender w(out);
     w.u64(snap.sessions_opened);
     w.u64(snap.sessions_closed);
     w.u64(snap.sessions_evicted_lru);
@@ -158,7 +167,6 @@ encodeStats(const StatsSnapshot &snap)
         w.f64(l.p99_us);
         w.f64(l.max_us);
     }
-    return w.take();
 }
 
 std::optional<StatsSnapshot>
@@ -270,72 +278,73 @@ ServiceCounters::snapshot(uint64_t sessions_open,
     snap.sessions_open = sessions_open;
     snap.queue_high_water = queue_high_water;
     for (size_t i = 0; i < NUM_OPS; ++i) {
-        const obs::HistogramSnapshot hist = ops[i].snapshot();
+        const obs::HistogramSummary hist = ops[i].summary();
         OpLatency &l = snap.op_latency[i];
         l.count = hist.count;
         if (hist.count == 0)
             continue;
         l.mean_us = hist.mean();
         l.max_us = hist.max;
-        l.p50_us = hist.quantile(50.0);
-        l.p99_us = hist.quantile(99.0);
+        l.p50_us = hist.p50;
+        l.p99_us = hist.p99;
     }
     return snap;
 }
 
-void
-ServiceCounters::fillMetrics(obs::MetricsSnapshot &out,
-                             uint64_t sessions_open,
-                             uint64_t queue_high_water) const
+std::array<obs::MetricRef, SERVICE_METRICS>
+ServiceCounters::metricRefs(uint64_t sessions_open,
+                            uint64_t queue_high_water) const
 {
-    const StatsSnapshot snap =
-        snapshot(sessions_open, queue_high_water);
-
-    obs::MetricsSnapshot mine;
-    const auto counter = [&mine](const char *name, uint64_t value) {
-        obs::MetricSample s;
-        s.name = name;
-        s.kind = obs::MetricKind::Counter;
-        s.value = static_cast<double>(value);
-        mine.samples.push_back(std::move(s));
-    };
-    const auto gauge = [&mine](const char *name, double value) {
-        obs::MetricSample s;
-        s.name = name;
-        s.kind = obs::MetricKind::Gauge;
-        s.value = value;
-        mine.samples.push_back(std::move(s));
-    };
-    counter("livephase_service_sessions_opened_total",
-            snap.sessions_opened);
-    counter("livephase_service_sessions_closed_total",
-            snap.sessions_closed);
-    counter("livephase_service_sessions_evicted_lru_total",
-            snap.sessions_evicted_lru);
-    counter("livephase_service_sessions_expired_ttl_total",
-            snap.sessions_expired_ttl);
-    counter("livephase_service_intervals_total",
-            snap.intervals_processed);
-    counter("livephase_service_batches_total",
-            snap.batches_processed);
-    counter("livephase_service_rejected_queue_full_total",
-            snap.rejected_queue_full);
-    counter("livephase_service_frames_malformed_total",
-            snap.frames_malformed);
-    gauge("livephase_service_sessions_open",
-          static_cast<double>(snap.sessions_open));
-    gauge("livephase_service_queue_high_water",
-          static_cast<double>(snap.queue_high_water));
-
-    for (size_t i = 0; i < NUM_OPS; ++i) {
-        obs::MetricSample s;
-        s.name = "livephase_service_op_latency_us{op=\"" +
-            opName(static_cast<uint16_t>(i + 1)) + "\"}";
-        s.kind = obs::MetricKind::Histogram;
-        s.hist = ops[i].snapshot();
-        mine.samples.push_back(std::move(s));
+    static const std::array<std::string, NUM_OPS> op_names = [] {
+        std::array<std::string, NUM_OPS> names;
+        for (size_t i = 0; i < NUM_OPS; ++i)
+            names[i] = "livephase_service_op_latency_us{op=\"" +
+                opName(static_cast<uint16_t>(i + 1)) + "\"}";
+        return names;
+    }();
+    StatsSnapshot t;
+    {
+        std::lock_guard lock(mu);
+        t = totals;
     }
-    out.merge(mine);
+    using obs::MetricKind;
+    const auto counter = [](std::string_view name, uint64_t value) {
+        return obs::MetricRef{name, MetricKind::Counter,
+                              static_cast<double>(value), nullptr};
+    };
+    const auto gauge = [](std::string_view name, uint64_t value) {
+        return obs::MetricRef{name, MetricKind::Gauge,
+                              static_cast<double>(value), nullptr};
+    };
+    std::array<obs::MetricRef, SERVICE_METRICS> refs{
+        counter("livephase_service_sessions_opened_total",
+                t.sessions_opened),
+        counter("livephase_service_sessions_closed_total",
+                t.sessions_closed),
+        counter("livephase_service_sessions_evicted_lru_total",
+                t.sessions_evicted_lru),
+        counter("livephase_service_sessions_expired_ttl_total",
+                t.sessions_expired_ttl),
+        counter("livephase_service_intervals_total",
+                t.intervals_processed),
+        counter("livephase_service_batches_total",
+                t.batches_processed),
+        counter("livephase_service_rejected_queue_full_total",
+                t.rejected_queue_full),
+        counter("livephase_service_frames_malformed_total",
+                t.frames_malformed),
+        gauge("livephase_service_sessions_open", sessions_open),
+        gauge("livephase_service_queue_high_water",
+              queue_high_water),
+    };
+    for (size_t i = 0; i < NUM_OPS; ++i)
+        refs[10 + i] = {op_names[i], MetricKind::Histogram, 0.0,
+                        &ops[i]};
+    std::sort(refs.begin(), refs.end(),
+              [](const obs::MetricRef &a, const obs::MetricRef &b) {
+                  return a.name < b.name;
+              });
+    return refs;
 }
 
 } // namespace livephase::service

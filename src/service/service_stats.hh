@@ -14,8 +14,17 @@
  * histogram (bounded memory, so a long-lived daemon never grows
  * without bound): count/mean/max are exact over the whole lifetime,
  * p50/p99 are read off the buckets with the bounded relative error
- * documented in obs/metrics.hh. The StatsSnapshot fields and the
- * QueryStats wire format are unchanged from the sample-ring days.
+ * documented in obs/metrics.hh, one walk per histogram. The
+ * StatsSnapshot fields and the QueryStats wire format are unchanged
+ * from the sample-ring days.
+ *
+ * A query-metrics scrape does not go through StatsSnapshot: the
+ * counters hand their `livephase_service_*` values and live latency
+ * histograms to MetricsRegistry::view() as references (metricRefs),
+ * which merges them by name into the registry's own entries.
+ * ServiceCounters stays per service instance rather than moving into
+ * the process-global registry: the simulator runs several services
+ * in one process, and each must count only its own traffic.
  */
 
 #ifndef LIVEPHASE_SERVICE_SERVICE_STATS_HH
@@ -84,8 +93,15 @@ struct StatsSnapshot
 /** Wire encoding of a snapshot (QueryStats response body). */
 Bytes encodeStats(const StatsSnapshot &snap);
 
+/** encodeStats appended to `out` (no allocation on a warm buffer). */
+void encodeStatsInto(Bytes &out, const StatsSnapshot &snap);
+
 /** Decode; nullopt when malformed. */
 std::optional<StatsSnapshot> decodeStats(ByteView body);
+
+/** Metrics a ServiceCounters contributes to a scrape: 8 counters,
+ *  2 gauges and one latency histogram per op. */
+constexpr size_t SERVICE_METRICS = 10 + NUM_OPS;
 
 /**
  * Thread-safe counter sink shared by the service internals.
@@ -122,14 +138,22 @@ class ServiceCounters
                            uint64_t queue_high_water) const;
 
     /**
-     * Contribute this instance's counters and latency histograms to
-     * a metrics snapshot under `livephase_service_*` names (the
-     * query-metrics exposition path). The caller supplies the same
-     * two gauges snapshot() does.
+     * This instance's counters, gauges and live latency histograms
+     * under `livephase_service_*` names, sorted by name — the
+     * `extra` argument of MetricsRegistry::view() on the
+     * query-metrics path. The caller supplies the same two gauges
+     * snapshot() does. The histogram pointers live as long as this
+     * object.
      */
-    void fillMetrics(obs::MetricsSnapshot &out,
-                     uint64_t sessions_open,
-                     uint64_t queue_high_water) const;
+    std::array<obs::MetricRef, SERVICE_METRICS>
+    metricRefs(uint64_t sessions_open,
+               uint64_t queue_high_water) const;
+
+    /** The live latency histogram of op `raw_op` (Open..Close). */
+    const obs::Histogram &opLatencyHistogram(uint16_t raw_op) const
+    {
+        return ops[raw_op - 1];
+    }
 
   private:
     mutable std::mutex mu;

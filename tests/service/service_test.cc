@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/clock.hh"
 #include "common/random.hh"
 #include "core/gpht_predictor.hh"
 #include "core/last_value_predictor.hh"
@@ -272,6 +273,94 @@ TEST(Service, QueueFullBackpressure)
     EXPECT_TRUE(svc.drainOne());
     ASSERT_TRUE(parseResponse(f4.get(), resp));
     EXPECT_EQ(resp.status, Status::Ok);
+}
+
+/** Virtual now-source that advances 1 ms on every read, so a
+ *  frame's measured latency is 1 ms per clock read inside it: a
+ *  scrape, which reads the clock more often than a batch, looks
+ *  slower than one. */
+std::atomic<uint64_t> ticking_now_ns{0};
+
+uint64_t
+tickingNow()
+{
+    return ticking_now_ns.fetch_add(1'000'000);
+}
+
+void
+tickingSleep(uint64_t ns)
+{
+    ticking_now_ns.fetch_add(ns);
+}
+
+/** Status and advice a full queue answers a new frame with. */
+uint32_t
+adviceWhenFull(LivePhaseService &svc)
+{
+    ParsedResponse resp;
+    EXPECT_TRUE(
+        parseResponse(svc.submit(encodeStatsRequest()).get(), resp));
+    EXPECT_EQ(resp.status, Status::RetryAfter);
+    return decodeRetryAfterMs(ByteView(resp.body));
+}
+
+TEST(Service, ScrapesDoNotMoveTheRetryAdvice)
+{
+    // Restores wall time however the test exits.
+    struct TickingTime
+    {
+        TickingTime()
+        {
+            timebase::installVirtual(&tickingNow, &tickingSleep);
+        }
+        ~TickingTime() { timebase::resetToWall(); }
+    } ticking;
+    LivePhaseService::Config cfg;
+    cfg.workers = 0; // the queue stays full until drained
+    cfg.queue_capacity = 4;
+    LivePhaseService svc(cfg);
+
+    ParsedResponse resp;
+    ASSERT_TRUE(parseResponse(
+        svc.handleFrame(encodeOpenRequest(PredictorKind::Gpht)),
+        resp));
+    const uint64_t sid = resp.header.session_id;
+    const Bytes batch = encodeSubmitRequest(sid, makeStream(1, 16));
+    for (int i = 0; i < 8; ++i) {
+        ASSERT_TRUE(parseResponse(svc.handleFrame(batch), resp));
+        ASSERT_EQ(resp.status, Status::Ok);
+    }
+
+    std::vector<std::future<Bytes>> queued;
+    for (size_t i = 0; i < cfg.queue_capacity; ++i)
+        queued.push_back(svc.submit(encodeStatsRequest()));
+    const uint32_t before = adviceWhenFull(svc);
+    // Above the 1 ms floor, so a drift would show.
+    EXPECT_GT(before, 1u);
+
+    // Scrapes on the synchronous path, as the socket reactor
+    // answers them: none of them may feed the drain estimate.
+    for (const auto format : {obs::ExpositionFormat::Prometheus,
+                              obs::ExpositionFormat::Jsonl}) {
+        ASSERT_TRUE(parseResponse(
+            svc.handleFrame(encodeMetricsRequest(
+                static_cast<uint16_t>(format))),
+            resp));
+        ASSERT_EQ(resp.status, Status::Ok);
+    }
+    ASSERT_TRUE(
+        parseResponse(svc.handleFrame(encodeStatsRequest()), resp));
+    ASSERT_EQ(resp.status, Status::Ok);
+    EXPECT_EQ(adviceWhenFull(svc), before);
+
+    // A batch still feeds it.
+    ASSERT_TRUE(parseResponse(svc.handleFrame(batch), resp));
+    EXPECT_NE(adviceWhenFull(svc), before);
+
+    while (svc.drainOne()) {
+    }
+    for (auto &f : queued)
+        f.get();
 }
 
 TEST(Service, MalformedFramesRejected)
