@@ -21,6 +21,7 @@
 #include "core/variable_window_predictor.hh"
 #include "cpu/core.hh"
 #include "kernel/phase_kernel_module.hh"
+#include "workload/spec2000.hh"
 
 using namespace livephase;
 
@@ -128,6 +129,37 @@ BM_SetAssocGphtMissPath(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SetAssocGphtMissPath)->Arg(32)->Arg(256);
+
+/** One serving session's life: a fresh clone of the never-trained
+ *  deployed 8x128 prototype, as a session open makes, driven through
+ *  the first 512 intervals of applu (a variable SPEC stream; it
+ *  installs 75 entries) in batches of 16. The PHT starts empty and
+ *  grows as it installs, so this prices the growth steps that the
+ *  warm rows above never take. */
+void
+BM_GphtColdSession(benchmark::State &state)
+{
+    constexpr size_t LIFE = 512, BATCH = 16;
+    const PhaseClassifier classifier = PhaseClassifier::table1();
+    std::vector<PhaseSample> samples;
+    for (const Interval &ivl :
+         Spec2000Suite::byName("applu_in").makeTrace(LIFE, 1))
+        samples.push_back(classifier.sample(ivl.mem_per_uop));
+    const GphtPredictor prototype(8, 128);
+    std::vector<PhaseId> predictions(BATCH);
+    for (auto _ : state) {
+        const PredictorPtr session = prototype.clone();
+        for (size_t at = 0; at < LIFE; at += BATCH)
+            session->observeAndPredictBatch(
+                std::span<const PhaseSample>(samples).subspan(at, BATCH),
+                predictions);
+        benchmark::DoNotOptimize(predictions.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(LIFE));
+}
+BENCHMARK(BM_GphtColdSession);
 
 void
 BM_PolicyLookup(benchmark::State &state)

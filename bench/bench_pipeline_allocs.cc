@@ -39,6 +39,12 @@
  * the reply frame, so these are gated through the baseline compare
  * like the rows above.
  *
+ * The last row is in bytes, not allocations: the heap bytes one warm
+ * GPHT Open plus Close allocates through handleFrameInto(). A
+ * session's PHT grows as it installs patterns, so a fresh one costs
+ * its bookkeeping and GPHR, not a 128-entry table; the baseline
+ * compare gates it.
+ *
  * Flags:
  *   --batch K       records per request       (default 64)
  *   --requests N    measured requests         (default 4096)
@@ -74,13 +80,16 @@ namespace
 {
 
 std::atomic<uint64_t> g_allocs{0};
+std::atomic<uint64_t> g_bytes{0};
 std::atomic<bool> g_counting{false};
 
 void
-countAlloc()
+countAlloc(std::size_t size)
 {
-    if (g_counting.load(std::memory_order_relaxed))
+    if (g_counting.load(std::memory_order_relaxed)) {
         g_allocs.fetch_add(1, std::memory_order_relaxed);
+        g_bytes.fetch_add(size, std::memory_order_relaxed);
+    }
 }
 
 } // namespace
@@ -92,7 +101,7 @@ countAlloc()
 void *
 operator new(std::size_t size)
 {
-    countAlloc();
+    countAlloc(size);
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -107,7 +116,7 @@ operator new[](std::size_t size)
 void *
 operator new(std::size_t size, std::align_val_t align)
 {
-    countAlloc();
+    countAlloc(size);
     void *p = nullptr;
     if (posix_memalign(&p, static_cast<std::size_t>(align),
                        size ? size : 1) != 0)
@@ -287,6 +296,36 @@ measureQueryPath(LivePhaseService &svc, const Bytes &frame,
         static_cast<double>(n);
 }
 
+/** Heap bytes per GPHT session Open plus Close, both answered
+ *  through handleFrameInto() with reused buffers. */
+double
+measureSessionOpenBytes(LivePhaseService &svc, size_t warmup, size_t n)
+{
+    Bytes tx, rx;
+    ResponseView view;
+    const auto roundTrip = [&] {
+        svc.handleFrameInto(ByteView(tx), rx);
+        if (!parseResponse(ByteView(rx), view) ||
+            view.status != Status::Ok)
+            fatal("open/close failed on the Into path");
+    };
+    const auto once = [&] {
+        encodeOpenRequestInto(tx, PredictorKind::Gpht, TraceField{});
+        roundTrip();
+        encodeCloseRequestInto(tx, view.header.session_id);
+        roundTrip();
+    };
+    for (size_t i = 0; i < warmup; ++i)
+        once();
+    g_bytes.store(0);
+    g_counting.store(true);
+    for (size_t i = 0; i < n; ++i)
+        once();
+    g_counting.store(false);
+    return static_cast<double>(g_bytes.load()) /
+        static_cast<double>(n);
+}
+
 /** Allocations per SubmitBatch round trip over a Unix socket, both
  *  ends in this process; negative when the server cannot start. */
 double
@@ -406,6 +445,8 @@ main(int argc, char **argv)
         query_warmup, queries);
     const double stats_allocs = measureQueryPath(
         svc, encodeStatsRequest(), query_warmup, queries);
+    const double open_bytes =
+        measureSessionOpenBytes(svc, query_warmup, queries);
 
     const double uds_allocs = measureUdsPath(batch, warmup, requests);
     const bool uds_measured = uds_allocs >= 0.0;
@@ -423,6 +464,8 @@ main(int argc, char **argv)
     table.addRow({"QueryMetrics, JSONL",
                   formatDouble(metrics_jsonl_allocs, 4)});
     table.addRow({"QueryStats", formatDouble(stats_allocs, 4)});
+    table.addRow({"GPHT Open + Close (bytes)",
+                  formatDouble(open_bytes, 1)});
     table.addRow({"handleFrame (owning, legacy)",
                   formatDouble(owning_allocs, 4)});
     table.print(std::cout);
@@ -453,6 +496,8 @@ main(int argc, char **argv)
             << "    \"allocs_per_query_metrics_jsonl\": "
             << metrics_jsonl_allocs << ",\n"
             << "    \"allocs_per_query_stats\": " << stats_allocs
+            << ",\n"
+            << "    \"bytes_per_session_open\": " << open_bytes
             << ",\n";
         // Left out when unmeasured, so the baseline compare reports
         // it missing instead of passing a made-up zero.
@@ -468,13 +513,15 @@ main(int argc, char **argv)
             << "\"lower\", \"allocs_per_query_metrics_prometheus\": "
             << "\"lower\", \"allocs_per_query_metrics_jsonl\": "
             << "\"lower\", \"allocs_per_query_stats\": "
+            << "\"lower\", \"bytes_per_session_open\": "
             << "\"lower\"},\n"
             << "  \"compare\": [\"allocs_per_request\", "
             << "\"allocs_per_request_tagged\", "
             << "\"allocs_per_request_uds\", "
             << "\"allocs_per_query_metrics_prometheus\", "
             << "\"allocs_per_query_metrics_jsonl\", "
-            << "\"allocs_per_query_stats\"]\n"
+            << "\"allocs_per_query_stats\", "
+            << "\"bytes_per_session_open\"]\n"
             << "}\n";
         std::cout << "wrote " << path << "\n";
     }

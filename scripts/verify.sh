@@ -33,10 +33,12 @@ BUILD_DIR="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 # The suites whose bugs are concurrency- or memory-shaped: service,
-# obs, admission (lock-free token buckets + controller thread) and
-# the chaos/fault-injection tests.
-SAN_TARGETS="test_service test_obs test_fault test_chaos test_admission"
-SAN_FILTER='Obs|FlightRecorder|Metrics|Histogram|Span|Runtime|Service|Session|Protocol|Exposition|Trace|Fault|Chaos|Ratekeeper|TagThrottler|QosSpec|Watchdog|TimeSeries|PhaseTelemetry|FlightDump|Profiler|Scrape'
+# obs, admission (lock-free token buckets + controller thread), the
+# chaos/fault-injection tests, and the GPHT (its PHT arrays grow on
+# install, so index arithmetic runs at the array end). The GPHT
+# suites live in test_core and, for GphtPersistence, test_analysis.
+SAN_TARGETS="test_service test_obs test_fault test_chaos test_admission test_core test_analysis"
+SAN_FILTER='Obs|FlightRecorder|Metrics|Histogram|Span|Runtime|Service|Session|Protocol|Exposition|Trace|Fault|Chaos|Ratekeeper|TagThrottler|QosSpec|Watchdog|TimeSeries|PhaseTelemetry|FlightDump|Profiler|Scrape|Gpht'
 
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS"

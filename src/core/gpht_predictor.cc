@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "common/logging.hh"
@@ -21,10 +22,7 @@ GphtPredictor::GphtPredictor(size_t gphr_depth, size_t sets,
         fatal("GphtPredictor: PHT geometry %zux%zu has no entries",
               num_sets, num_ways);
     gphr.assign(depth, INVALID_PHASE);
-    tags.assign(capacity * depth, INVALID_PHASE);
-    ages.assign(capacity, -1);
-    preds.assign(capacity, INVALID_PHASE);
-    fps.assign(capacity, 0);
+    clearTable();
     gphr_fill = 0;
     lru_clock = 0;
     pending_train = -1;
@@ -97,6 +95,9 @@ GphtPredictor::step(const PhaseSample &sample)
     // 5. Miss: predict last value and install the current pattern.
     current_prediction = gphr[0];
     const size_t victim = victimIndex(base);
+    if (victim == ages.size())
+        growTable(std::min(capacity,
+                           std::max(FIRST_ROWS, 2 * ages.size())));
     if (ages[victim] >= 0)
         ++counters.replacements;
     ++counters.insertions;
@@ -118,10 +119,7 @@ GphtPredictor::reset()
 {
     std::fill(gphr.begin(), gphr.end(), INVALID_PHASE);
     gphr_fill = 0;
-    std::fill(tags.begin(), tags.end(), INVALID_PHASE);
-    std::fill(ages.begin(), ages.end(), -1);
-    std::fill(preds.begin(), preds.end(), INVALID_PHASE);
-    std::fill(fps.begin(), fps.end(), 0);
+    clearTable();
     lru_clock = 0;
     pending_train = -1;
     current_prediction = INVALID_PHASE;
@@ -166,6 +164,11 @@ GphtPredictor::saveState(std::ostream &os) const
         os << p << ' ';
     os << '\n';
     for (size_t e = 0; e < capacity; ++e) {
+        // Rows the table has not grown to yet are invalid.
+        if (e >= ages.size()) {
+            os << -1 << ' ' << INVALID_PHASE << '\n';
+            continue;
+        }
         os << ages[e] << ' ' << preds[e];
         // Only valid entries carry their depth tag phases.
         if (ages[e] >= 0)
@@ -195,6 +198,10 @@ GphtPredictor::loadState(std::istream &is)
         fatal("GphtPredictor::loadState: geometry mismatch "
               "(saved %zux%zu, this %zux%zu)", saved_depth,
               saved_capacity, depth, capacity);
+    // Full size before any field is read: the saved rows may have
+    // holes, and pending_train may point at any row below capacity.
+    clearTable();
+    growTable(capacity);
     if (!(is >> gphr_fill >> lru_clock >> pending_train >>
           current_prediction) ||
         gphr_fill > depth ||
@@ -208,8 +215,6 @@ GphtPredictor::loadState(std::istream &is)
         if (!(is >> ages[e] >> preds[e]))
             fatal("GphtPredictor::loadState: truncated PHT");
         PhaseId *tag = &tags[e * depth];
-        std::fill(tag, tag + depth, INVALID_PHASE);
-        fps[e] = 0;
         if (ages[e] >= 0) {
             for (size_t i = 0; i < depth; ++i)
                 if (!(is >> tag[i]))
@@ -237,9 +242,12 @@ GphtPredictor::lookup(size_t base, uint8_t fp) const
 {
     // Only entries whose fingerprint matches can hold the GPHR; the
     // byte scan skips the rest without touching their tags.
+    const size_t stop = std::min(base + num_ways, fps.size());
+    if (base >= stop)
+        return -1; // nothing installed yet (and no memchr on null)
     const PhaseId *key = gphr.data();
     const uint8_t *c = fps.data() + base;
-    const uint8_t *const end = c + num_ways;
+    const uint8_t *const end = fps.data() + stop;
     while ((c = static_cast<const uint8_t *>(std::memchr(
                 c, fp, static_cast<size_t>(end - c)))) != nullptr) {
         const size_t e = static_cast<size_t>(c - fps.data());
@@ -254,9 +262,10 @@ GphtPredictor::lookup(size_t base, uint8_t fp) const
 size_t
 GphtPredictor::victimIndex(size_t base) const
 {
+    const size_t stop = std::min(base + num_ways, ages.size());
     size_t victim = base;
-    int64_t oldest = ages[base];
-    for (size_t e = base; e < base + num_ways; ++e) {
+    int64_t oldest = std::numeric_limits<int64_t>::max();
+    for (size_t e = base; e < stop; ++e) {
         const int64_t age = ages[e];
         if (age < 0)
             return e; // invalid entry available
@@ -265,7 +274,34 @@ GphtPredictor::victimIndex(size_t base) const
             victim = e;
         }
     }
-    return victim;
+    // A table that has not grown to capacity installs at its end.
+    return stop < base + num_ways ? stop : victim;
+}
+
+void
+GphtPredictor::clearTable()
+{
+    tags.clear();
+    ages.clear();
+    preds.clear();
+    fps.clear();
+    if (num_sets > 1)
+        growTable(capacity);
+}
+
+void
+GphtPredictor::growTable(size_t rows)
+{
+    // reserve() first so a step capped at capacity allocates exactly
+    // that, not the vector's own doubling.
+    tags.reserve(rows * depth);
+    tags.resize(rows * depth, INVALID_PHASE);
+    ages.reserve(rows);
+    ages.resize(rows, -1);
+    preds.reserve(rows);
+    preds.resize(rows, INVALID_PHASE);
+    fps.reserve(rows);
+    fps.resize(rows, 0);
 }
 
 } // namespace livephase

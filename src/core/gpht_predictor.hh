@@ -40,6 +40,16 @@
  * same FNV-1a hash that picks the set), and full tags are compared
  * only where the fingerprint matches the GPHR's. The first match by
  * index wins, exactly as in a plain scan of the tags.
+ *
+ * A fully associative PHT holds only the entries installed so far:
+ * its arrays start empty and grow geometrically on install, capped
+ * at the configured capacity, so a short-lived session pays for the
+ * patterns it has seen rather than for all 128 (Section 3.2's
+ * concern about holding the table). Entries are never invalidated,
+ * so they fill a prefix and install at its end, the same slot the
+ * "first invalid" rule picks in a full-size table. A set-associative
+ * PHT is allocated at full size, because each set's slots sit at
+ * fixed offsets.
  */
 
 #ifndef LIVEPHASE_CORE_GPHT_PREDICTOR_HH
@@ -158,13 +168,29 @@ class GphtPredictor : public PhasePredictor
         return static_cast<uint8_t>(hash >> 56);
     }
 
-    /** First entry in [base, base + ways) whose tag matches the
-     *  GPHR, or -1; `fp` is the GPHR's fingerprint. */
+    /** First entry in [base, min(base + ways, size)) whose tag
+     *  matches the GPHR, or -1; `fp` is the GPHR's fingerprint. */
     int64_t lookup(size_t base, uint8_t fp) const;
 
     /** Entry in [base, base + ways) to (re)fill: first invalid,
-     *  else the first with the strictly oldest age. */
+     *  else the current table size when the set runs past it (the
+     *  table must grow), else the first with the strictly oldest
+     *  age. */
     size_t victimIndex(size_t base) const;
+
+    /** Empty PHT: no rows when fully associative, every row
+     *  (invalid) when set-associative. */
+    void clearTable();
+
+    /** Extend the PHT to `rows` rows; the new ones are invalid. */
+    void growTable(size_t rows);
+
+    /** Rows of a one-set table's first allocation. A median
+     *  serving session installs about 15 entries, so one 16-row
+     *  block (720 B at depth 8) holds it whole, and a table reaches
+     *  128 rows in three doublings. Starting at one row would
+     *  reallocate all four arrays on most early misses. */
+    static constexpr size_t FIRST_ROWS = 16;
 
     size_t depth;
     size_t num_sets;
@@ -176,6 +202,10 @@ class GphtPredictor : public PhasePredictor
     // holds entry e's pattern, ages[e] its LRU age (-1 = invalid),
     // preds[e] the phase that followed it and fps[e] the
     // fingerprint of its tag (not serialized; rebuilt on load).
+    // ages.size() is the table's current size: the rows installed
+    // so far, rounded up to the last growth step, for a fully
+    // associative table; always `capacity` for a set-associative
+    // one and after loadState(). Rows past it read as invalid.
     std::vector<PhaseId> tags;
     std::vector<int64_t> ages;
     std::vector<PhaseId> preds;

@@ -239,6 +239,99 @@ TEST(GphtPersistence, SavedTextIsUnchanged)
     EXPECT_EQ(again.str(), golden);
 }
 
+/** `GPHT-STATE 1` text of a (3, 10) predictor that has learned
+ *  nothing: every PHT row invalid. */
+const char *const COLD_3X10_STATE = "GPHT-STATE 1\n"
+                                    "3 10\n"
+                                    "0 0 -1 0\n"
+                                    "0 0 0 \n"
+                                    "-1 0\n"
+                                    "-1 0\n"
+                                    "-1 0\n"
+                                    "-1 0\n"
+                                    "-1 0\n"
+                                    "-1 0\n"
+                                    "-1 0\n"
+                                    "-1 0\n"
+                                    "-1 0\n"
+                                    "-1 0\n";
+
+TEST(GphtPersistence, ColdAndResetPredictorsSaveAllInvalidRows)
+{
+    // The PHT holds only the rows installed so far; the rows it has
+    // not grown to must still be written, as invalid ones.
+    GphtPredictor cold(3, 10);
+    std::stringstream cold_state;
+    cold.saveState(cold_state);
+    EXPECT_EQ(cold_state.str(), COLD_3X10_STATE);
+
+    GphtPredictor reset(3, 10);
+    for (PhaseId ph : {1, 2, 1, 3, 1, 2, 1, 3, 2, 2, 4, 1, 2})
+        reset.observePhase(ph);
+    reset.reset();
+    std::stringstream reset_state;
+    reset.saveState(reset_state);
+    EXPECT_EQ(reset_state.str(), COLD_3X10_STATE);
+}
+
+TEST(GphtPersistence, HolesAndPendingTrainPastLastValidEntryLoad)
+{
+    // Hand-written state: invalid rows between valid ones (one with
+    // a stale prediction), and pending_train on an invalid row after
+    // the last valid entry. The expected text and predictions were
+    // recorded from the full-size table this format was made for.
+    const std::string holes = "GPHT-STATE 1\n"
+                              "3 10\n"
+                              "3 7 6 2\n"
+                              "2 1 4 \n"
+                              "5 3 1 2 1\n"
+                              "-1 0\n"
+                              "6 2 3 1 2\n"
+                              "-1 4\n"
+                              "7 1 2 1 3\n"
+                              "-1 0\n"
+                              "-1 0\n"
+                              "-1 0\n"
+                              "-1 0\n"
+                              "-1 0\n";
+    GphtPredictor p(3, 10);
+    std::stringstream in(holes);
+    p.loadState(in);
+    std::stringstream loaded;
+    p.saveState(loaded);
+    EXPECT_EQ(loaded.str(), holes);
+    EXPECT_EQ(p.phtOccupancy(), 3u);
+
+    const PhaseId seq[] = {1, 2, 1, 3, 2, 2, 4, 1, 3, 1, 2, 1};
+    std::string predictions;
+    for (size_t i = 0; i < 32; ++i) {
+        p.observePhase(seq[i % 12]);
+        predictions += std::to_string(p.predict());
+    }
+    EXPECT_EQ(predictions, "32222241311312132241312312132241");
+    EXPECT_EQ(p.stats().lookups, 32u);
+    EXPECT_EQ(p.stats().hits, 8u);
+    EXPECT_EQ(p.stats().insertions, 24u);
+    EXPECT_EQ(p.stats().replacements, 17u);
+
+    std::stringstream after;
+    p.saveState(after);
+    EXPECT_EQ(after.str(), "GPHT-STATE 1\n"
+                           "3 10\n"
+                           "3 39 9 1\n"
+                           "1 4 2 \n"
+                           "34 3 1 2 1\n"
+                           "30 1 2 1 3\n"
+                           "32 2 1 1 2\n"
+                           "33 1 2 1 1\n"
+                           "29 2 1 3 1\n"
+                           "35 2 3 1 2\n"
+                           "36 2 2 3 1\n"
+                           "37 4 2 2 3\n"
+                           "38 1 4 2 2\n"
+                           "39 0 1 4 2\n");
+}
+
 TEST(GphtPersistence, SetAssociativeStateIsFatal)
 {
     // Version 1 has no field for ways, so a set-associative table
