@@ -161,6 +161,53 @@ BM_GphtColdSession(benchmark::State &state)
 }
 BENCHMARK(BM_GphtColdSession);
 
+/** The variable-stream serving mix (perfbench's uds-k256-variable
+ *  generators): one warmed deployed 8x128 predictor per stream,
+ *  each fed its classified phases in batches of 256. About 93% of
+ *  lookups hit, so unlike the miss-path rows this mostly prices
+ *  the fingerprint filter and the tag compares behind it. Reported
+ *  as ns_per_interval. */
+void
+BM_GphtVariableMix(benchmark::State &state)
+{
+    constexpr size_t LENGTH = 4096, BATCH = 256;
+    const PhaseClassifier classifier = PhaseClassifier::table1();
+    std::vector<std::vector<PhaseSample>> streams;
+    std::vector<GphtPredictor> predictors;
+    for (const char *name :
+         {"gcc_200", "gcc_scilab", "gcc_integrate", "gcc_expr",
+          "gcc_166", "bzip2_program", "bzip2_source", "bzip2_graphic",
+          "applu_in", "equake_in", "mgrid_in", "parser_ref"}) {
+        std::vector<PhaseSample> samples;
+        for (const Interval &ivl :
+             Spec2000Suite::byName(name).makeTrace(LENGTH, 1))
+            samples.push_back(classifier.sample(ivl.mem_per_uop));
+        streams.push_back(std::move(samples));
+        predictors.emplace_back(8, 128);
+    }
+    std::vector<PhaseId> predictions(BATCH);
+    auto replay = [&] {
+        for (size_t s = 0; s < streams.size(); ++s)
+            for (size_t at = 0; at < LENGTH; at += BATCH)
+                predictors[s].observeAndPredictBatch(
+                    std::span<const PhaseSample>(streams[s])
+                        .subspan(at, BATCH),
+                    predictions);
+    };
+    replay(); // warm: each table has learned its stream
+    for (auto _ : state) {
+        replay();
+        benchmark::DoNotOptimize(predictions.data());
+        benchmark::ClobberMemory();
+    }
+    // A rate of intervals per nanosecond, inverted: ns per interval.
+    state.counters["ns_per_interval"] = benchmark::Counter(
+        1e-9 * static_cast<double>(state.iterations() *
+                                   streams.size() * LENGTH),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GphtVariableMix);
+
 void
 BM_PolicyLookup(benchmark::State &state)
 {

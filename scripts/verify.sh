@@ -36,9 +36,38 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 # obs, admission (lock-free token buckets + controller thread), the
 # chaos/fault-injection tests, and the GPHT (its PHT arrays grow on
 # install, so index arithmetic runs at the array end). The GPHT
-# suites live in test_core and, for GphtPersistence, test_analysis.
-SAN_TARGETS="test_service test_obs test_fault test_chaos test_admission test_core test_analysis"
+# suites live in test_core and, for GphtPersistence, test_analysis;
+# test_kernel and test_integration hold the Gpht governor and
+# paper-claim tests. The filter's words also match tests in the
+# other binaries (`Trace` in the workload, daq and dtm suites,
+# `Watchdog`, `Profiler` and `Session` in the sim suite, `Span`
+# and `Metrics` in the common and cpu ones), so those are built
+# too; only test_pmc has no matching test. ctest lists a test of a
+# target that was not built only as `<target>_NOT_BUILT`, so
+# san_tests() below fails the job when the filter selects fewer
+# tests here than in the plain build, rather than letting them drop
+# out unseen.
+SAN_TARGETS="test_service test_obs test_fault test_chaos test_admission test_core test_analysis test_kernel test_integration test_common test_cpu test_workload test_daq test_dtm test_sim"
 SAN_FILTER='Obs|FlightRecorder|Metrics|Histogram|Span|Runtime|Service|Session|Protocol|Exposition|Trace|Fault|Chaos|Ratekeeper|TagThrottler|QosSpec|Watchdog|TimeSeries|PhaseTelemetry|FlightDump|Profiler|Scrape|Gpht'
+
+# Build $SAN_TARGETS into the sanitizer dir $1 and run the tests
+# SAN_FILTER selects, failing if that dir lists fewer of them than
+# the plain build dir does.
+san_tests() {
+    # shellcheck disable=SC2086
+    cmake --build "$1" -j "$JOBS" --target $SAN_TARGETS
+    want=$(cd "$BUILD_DIR" && ctest -N -R "$SAN_FILTER" |
+        sed -n 's/^Total Tests: //p')
+    got=$(cd "$1" && ctest -N -R "$SAN_FILTER" |
+        sed -n 's/^Total Tests: //p')
+    if [ "${got:-0}" -lt "${want:-0}" ]; then
+        echo "verify.sh: $1 lists ${got:-0} tests matching" \
+            "SAN_FILTER, $BUILD_DIR lists ${want:-0}: add the" \
+            "missing test targets to SAN_TARGETS" >&2
+        exit 1
+    fi
+    (cd "$1" && ctest --output-on-failure -j "$JOBS" -R "$SAN_FILTER")
+}
 
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -79,10 +108,7 @@ if [ "$ASAN" = 1 ]; then
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-    # shellcheck disable=SC2086
-    cmake --build "$ASAN_DIR" -j "$JOBS" --target $SAN_TARGETS
-    (cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-        -R "$SAN_FILTER")
+    san_tests "$ASAN_DIR"
 fi
 
 if [ "$TSAN" = 1 ]; then
@@ -91,8 +117,5 @@ if [ "$TSAN" = 1 ]; then
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-    # shellcheck disable=SC2086
-    cmake --build "$TSAN_DIR" -j "$JOBS" --target $SAN_TARGETS
-    (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-        -R "$SAN_FILTER")
+    san_tests "$TSAN_DIR"
 fi

@@ -21,7 +21,11 @@ GphtPredictor::GphtPredictor(size_t gphr_depth, size_t sets,
     if (num_sets == 0 || num_ways == 0)
         fatal("GphtPredictor: PHT geometry %zux%zu has no entries",
               num_sets, num_ways);
+    oldest_power = 1;
+    for (size_t i = 1; i < depth; ++i)
+        oldest_power *= ROLL_BASE;
     gphr.assign(depth, INVALID_PHASE);
+    gphr_hash = rollingHash(gphr.data());
     clearTable();
     gphr_fill = 0;
     lru_clock = 0;
@@ -58,7 +62,11 @@ GphtPredictor::step(const PhaseSample &sample)
         preds[static_cast<size_t>(pending_train)] = sample.phase;
     pending_train = -1;
 
-    // 2. Shift the observed phase into the GPHR.
+    // 2. Shift the observed phase into the GPHR, and roll its hash:
+    //    drop the oldest phase's term, age the rest, add the new one.
+    const uint64_t oldest = static_cast<uint32_t>(gphr[depth - 1]);
+    gphr_hash = static_cast<uint32_t>(sample.phase) +
+        ROLL_BASE * (gphr_hash - oldest * oldest_power);
     for (size_t i = depth - 1; i > 0; --i)
         gphr[i] = gphr[i - 1];
     gphr[0] = sample.phase;
@@ -74,10 +82,11 @@ GphtPredictor::step(const PhaseSample &sample)
 
     // 4. Associative lookup within the GPHR's set.
     ++counters.lookups;
-    const uint64_t hash = tagHash(gphr.data());
     const size_t base = num_sets == 1
-        ? 0 : static_cast<size_t>(hash % num_sets) * num_ways;
-    const uint8_t fp = fingerprint(hash);
+        ? 0
+        : static_cast<size_t>(setHash(gphr.data()) % num_sets) *
+            num_ways;
+    const uint8_t fp = fingerprint(gphr_hash);
     const int64_t hit = lookup(base, fp);
     if (hit >= 0) {
         ++counters.hits;
@@ -118,6 +127,7 @@ void
 GphtPredictor::reset()
 {
     std::fill(gphr.begin(), gphr.end(), INVALID_PHASE);
+    gphr_hash = rollingHash(gphr.data());
     gphr_fill = 0;
     clearTable();
     lru_clock = 0;
@@ -198,37 +208,49 @@ GphtPredictor::loadState(std::istream &is)
         fatal("GphtPredictor::loadState: geometry mismatch "
               "(saved %zux%zu, this %zux%zu)", saved_depth,
               saved_capacity, depth, capacity);
-    // Full size before any field is read: the saved rows may have
-    // holes, and pending_train may point at any row below capacity.
-    clearTable();
-    growTable(capacity);
-    if (!(is >> gphr_fill >> lru_clock >> pending_train >>
-          current_prediction) ||
-        gphr_fill > depth ||
-        pending_train >= static_cast<int64_t>(capacity)) {
+    // Parse into a fresh predictor and take it over only once every
+    // field has checked out, so a rejected stream (fatal() may
+    // return by throwing) leaves this one as it was. The table is
+    // full size: the saved rows may have holes, and pending_train
+    // may point at any row below capacity.
+    GphtPredictor loaded(depth, capacity);
+    loaded.growTable(capacity);
+    if (!(is >> loaded.gphr_fill >> loaded.lru_clock >>
+          loaded.pending_train >> loaded.current_prediction) ||
+        loaded.gphr_fill > depth || loaded.lru_clock < 0 ||
+        loaded.pending_train < -1 ||
+        loaded.pending_train >= static_cast<int64_t>(capacity)) {
         fatal("GphtPredictor::loadState: corrupt predictor state");
     }
-    for (PhaseId &p : gphr)
+    for (PhaseId &p : loaded.gphr)
         if (!(is >> p))
             fatal("GphtPredictor::loadState: truncated GPHR");
     for (size_t e = 0; e < capacity; ++e) {
-        if (!(is >> ages[e] >> preds[e]))
+        int64_t &age = loaded.ages[e];
+        if (!(is >> age >> loaded.preds[e]))
             fatal("GphtPredictor::loadState: truncated PHT");
-        PhaseId *tag = &tags[e * depth];
-        if (ages[e] >= 0) {
+        if (age < -1 || age > loaded.lru_clock)
+            fatal("GphtPredictor::loadState: PHT row %zu has age "
+                  "%lld outside [-1, %lld]", e,
+                  static_cast<long long>(age),
+                  static_cast<long long>(loaded.lru_clock));
+        PhaseId *tag = &loaded.tags[e * depth];
+        if (age >= 0) {
             for (size_t i = 0; i < depth; ++i)
                 if (!(is >> tag[i]))
                     fatal("GphtPredictor::loadState: truncated tag");
-            fps[e] = fingerprint(tagHash(tag));
+            loaded.fps[e] = fingerprint(rollingHash(tag));
         }
     }
-    counters = Stats{};
+    loaded.gphr_hash = rollingHash(loaded.gphr.data());
+    *this = std::move(loaded);
 }
 
 uint64_t
-GphtPredictor::tagHash(const PhaseId *tag) const
+GphtPredictor::setHash(const PhaseId *tag) const
 {
-    // FNV-1a; cheap and well mixed for the tiny phase alphabet.
+    // FNV-1a; its % sets places patterns in sets, which the
+    // set-associative golden digests pin.
     uint64_t hash = 1469598103934665603ULL;
     for (size_t i = 0; i < depth; ++i) {
         hash ^= static_cast<uint64_t>(static_cast<uint32_t>(tag[i]));
@@ -237,6 +259,16 @@ GphtPredictor::tagHash(const PhaseId *tag) const
     return hash;
 }
 
+uint64_t
+GphtPredictor::rollingHash(const PhaseId *tag) const
+{
+    // Horner's rule from the oldest phase: the same sum step()
+    // maintains one shift at a time.
+    uint64_t hash = 0;
+    for (size_t i = depth; i-- > 0;)
+        hash = hash * ROLL_BASE + static_cast<uint32_t>(tag[i]);
+    return hash;
+}
 int64_t
 GphtPredictor::lookup(size_t base, uint8_t fp) const
 {
@@ -252,7 +284,12 @@ GphtPredictor::lookup(size_t base, uint8_t fp) const
                 c, fp, static_cast<size_t>(end - c)))) != nullptr) {
         const size_t e = static_cast<size_t>(c - fps.data());
         const PhaseId *tag = &tags[e * depth];
-        if (ages[e] >= 0 && std::equal(tag, tag + depth, key))
+        // Inline: most candidates match, and a libc memcmp call
+        // costs more than comparing a few phases.
+        size_t i = 0;
+        while (i < depth && tag[i] == key[i])
+            ++i;
+        if (i == depth && ages[e] >= 0)
             return static_cast<int64_t>(e);
         ++c;
     }

@@ -36,10 +36,15 @@
  * accuracy cost of fewer ways at equal capacity.
  *
  * Within a set the search is a filter, not a change of answer: each
- * entry keeps a one-byte fingerprint of its tag (the top byte of the
- * same FNV-1a hash that picks the set), and full tags are compared
- * only where the fingerprint matches the GPHR's. The first match by
- * index wins, exactly as in a plain scan of the tags.
+ * entry keeps a one-byte fingerprint of its tag, and full tags are
+ * compared only where the fingerprint matches the GPHR's. The first
+ * match by index wins, exactly as in a plain scan of the tags. The
+ * fingerprint comes from a rolling hash of the GPHR, updated in O(1)
+ * as each phase shifts in, the way branch predictors fold their
+ * global history; a finalizer mixes it so that the byte filters well
+ * even for the six-phase alphabet. The set index is a separate
+ * FNV-1a hash of the GPHR, computed only when there is more than one
+ * set.
  *
  * A fully associative PHT holds only the entries installed so far:
  * its arrays start empty and grow geometrically on install, capped
@@ -149,7 +154,8 @@ class GphtPredictor : public PhasePredictor
     /**
      * Restore state saved by saveState(). fatal() when the stream
      * is malformed, was saved from a predictor with different
-     * (depth, entries) geometry, or sets() > 1.
+     * (depth, entries) geometry, or sets() > 1. A rejected stream
+     * leaves the predictor as it was.
      */
     void loadState(std::istream &is);
 
@@ -158,15 +164,27 @@ class GphtPredictor : public PhasePredictor
      *  iterates without per-step dispatch. */
     void step(const PhaseSample &sample);
 
-    /** FNV-1a over `depth` phases. Over the GPHR it picks the set
-     *  (hash % sets) and, through fingerprint(), the tag byte. */
-    uint64_t tagHash(const PhaseId *tag) const;
+    /** FNV-1a over `depth` phases; over the GPHR, hash % sets is
+     *  the set index. Not run when the PHT has one set. */
+    uint64_t setHash(const PhaseId *tag) const;
 
-    /** One-byte fingerprint of a tag: its hash's top byte. */
-    static uint8_t fingerprint(uint64_t hash)
+    /** Rolling hash sum(tag[i] * ROLL_BASE^i) mod 2^64 over `depth`
+     *  phases, tag[0] the newest, computed from scratch. step()
+     *  keeps the GPHR's up to date in O(1) instead. */
+    uint64_t rollingHash(const PhaseId *tag) const;
+
+    /** One-byte fingerprint of a tag: the top byte of its rolling
+     *  hash after an xor-shift-multiply finalizer. The raw hash's
+     *  top byte is poorly mixed for small phase ids. */
+    static uint8_t fingerprint(uint64_t rolled)
     {
-        return static_cast<uint8_t>(hash >> 56);
+        rolled ^= rolled >> 29;
+        rolled *= 0xbf58476d1ce4e5b9ULL;
+        return static_cast<uint8_t>(rolled >> 56);
     }
+
+    /** Odd multiplier of the rolling hash (2^64 / golden ratio). */
+    static constexpr uint64_t ROLL_BASE = 0x9e3779b97f4a7c15ULL;
 
     /** First entry in [base, min(base + ways, size)) whose tag
      *  matches the GPHR, or -1; `fp` is the GPHR's fingerprint. */
@@ -198,6 +216,8 @@ class GphtPredictor : public PhasePredictor
     size_t capacity;
     std::vector<PhaseId> gphr; ///< gphr[0] = most recent
     size_t gphr_fill;
+    uint64_t gphr_hash;    ///< rollingHash() of the GPHR
+    uint64_t oldest_power; ///< ROLL_BASE^(depth - 1)
     // The PHT, one row per entry: tags[e * depth, (e + 1) * depth)
     // holds entry e's pattern, ages[e] its LRU age (-1 = invalid),
     // preds[e] the phase that followed it and fps[e] the

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/phase_stats.hh"
 #include "core/gpht_predictor.hh"
@@ -342,6 +344,64 @@ TEST(GphtPersistence, SetAssociativeStateIsFatal)
     GphtPredictor full(8, 128);
     full.saveState(state);
     EXPECT_FAILURE(p.loadState(state));
+}
+
+TEST(GphtPersistence, RejectedStateLeavesPredictorUntouched)
+{
+    // A load that fails part-way must not half-apply: afterwards the
+    // predictor saves the same text as before and goes on exactly
+    // like a copy that never tried to load.
+    GphtPredictor trained(8, 64);
+    const std::vector<PhaseId> period{1, 2, 1, 6, 1, 2, 1, 5, 3};
+    for (int rep = 0; rep < 20; ++rep)
+        for (PhaseId p : period)
+            trained.observePhase(p);
+    std::stringstream saved;
+    trained.saveState(saved);
+    const std::string before = saved.str();
+
+    // Line 3 is "fill clock pending_train prediction": point
+    // pending_train at row 64 of a 64-row table, and keep the rest.
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(saved, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 4u + 64u);
+    std::istringstream fields(lines[2]);
+    std::string fill, clock, pending, prediction;
+    fields >> fill >> clock >> pending >> prediction;
+    ASSERT_NE(pending, "-1") << "the trained state has a pending row";
+    std::string bad_pending;
+    for (size_t i = 0; i < lines.size(); ++i)
+        bad_pending += (i == 2 ? fill + " " + clock + " 64 " + prediction
+                               : lines[i]) + "\n";
+    // A PHT cut off after ten of its 64 rows.
+    std::string truncated;
+    for (size_t i = 0; i < 4 + 10; ++i)
+        truncated += lines[i] + "\n";
+
+    for (const std::string &bad : {bad_pending, truncated}) {
+        GphtPredictor p = trained;
+        std::istringstream in(bad);
+        EXPECT_FAILURE(p.loadState(in));
+        std::stringstream after;
+        p.saveState(after);
+        EXPECT_EQ(after.str(), before);
+
+        GphtPredictor untouched = trained;
+        for (size_t i = 0; i < 32; ++i) {
+            // Half the known loop, then phases it has not seen.
+            const PhaseId ph = i < 16 ? period[i % period.size()]
+                                      : static_cast<PhaseId>(i % 7 + 1);
+            p.observePhase(ph);
+            untouched.observePhase(ph);
+            ASSERT_EQ(p.predict(), untouched.predict()) << "step " << i;
+        }
+        EXPECT_EQ(p.stats().lookups, untouched.stats().lookups);
+        EXPECT_EQ(p.stats().hits, untouched.stats().hits);
+        EXPECT_EQ(p.stats().insertions, untouched.stats().insertions);
+        EXPECT_EQ(p.stats().replacements,
+                  untouched.stats().replacements);
+    }
 }
 
 } // namespace

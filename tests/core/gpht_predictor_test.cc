@@ -3,8 +3,9 @@
  * Tests for the GPHT predictor — pattern learning, LRU replacement,
  * last-value fallback, the paper's convergence claims, the
  * set-associative PHT geometries, a golden bit-identity oracle
- * over the whole SPEC2000 suite and a differential test against a
- * plain linear-scan reference model.
+ * over the whole SPEC2000 suite, a differential test against a
+ * plain linear-scan reference model and a lockstep check of the
+ * rolling GPHR hash against copies reloaded from saved state.
  */
 
 #include <gtest/gtest.h>
@@ -841,6 +842,88 @@ TEST(GphtDifferential, LoadedStateMatchesReference)
     }
     expectLockstep(p, ref, seq);
 }
+
+struct RollCase
+{
+    size_t depth;
+    size_t alphabet;
+};
+
+void
+PrintTo(const RollCase &c, std::ostream *os)
+{
+    *os << "depth " << c.depth << ", " << c.alphabet << " phases";
+}
+
+class GphtRollingHash : public ::testing::TestWithParam<RollCase>
+{
+};
+
+/**
+ * step() rolls the GPHR's hash forward one shift at a time, while
+ * loadState() recomputes it and every entry's fingerprint from
+ * scratch. If the two hashes disagreed, a reloaded copy would miss
+ * entries the live predictor hits (or the other way round), and its
+ * predictions or Stats would drift from the live one's. Every 97
+ * steps the copy is reloaded from the live state; in between, the
+ * live predictor runs batched and the copy one observe() at a time.
+ */
+TEST_P(GphtRollingHash, ReloadedCopyStaysInLockstep)
+{
+    const RollCase c = GetParam();
+    const std::vector<PhaseId> seq =
+        mixedStream(alphabet(c.alphabet), 6000, 5);
+    GphtPredictor live(c.depth, 128);
+    GphtPredictor copy(c.depth, 128);
+    std::vector<PhaseSample> window;
+    std::vector<PhaseId> got;
+    for (size_t at = 0; at < seq.size(); at += 97) {
+        std::stringstream state;
+        live.saveState(state);
+        copy.loadState(state);
+        const GphtPredictor::Stats base = live.stats();
+
+        const size_t n = std::min<size_t>(97, seq.size() - at);
+        window.clear();
+        for (size_t k = 0; k < n; ++k)
+            window.push_back({seq[at + k], 0.0});
+        got.assign(n, INVALID_PHASE);
+        live.observeAndPredictBatch(window, got);
+        for (size_t k = 0; k < n; ++k) {
+            copy.observe(window[k]);
+            ASSERT_EQ(copy.predict(), got[k])
+                << live.name() << " diverged at step " << at + k;
+        }
+        const GphtPredictor::Stats &s = live.stats();
+        GphtPredictor::Stats delta;
+        delta.lookups = s.lookups - base.lookups;
+        delta.hits = s.hits - base.hits;
+        delta.insertions = s.insertions - base.insertions;
+        delta.replacements = s.replacements - base.replacements;
+        expectSameStats(copy.stats(), delta, at + n);
+        std::stringstream live_text, copy_text;
+        live.saveState(live_text);
+        copy.saveState(copy_text);
+        ASSERT_EQ(copy_text.str(), live_text.str()) << "step " << at + n;
+        ASSERT_FALSE(HasFailure());
+    }
+    EXPECT_GT(live.stats().hits, 0u) << live.name();
+    EXPECT_GT(live.stats().insertions, 0u) << live.name();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DepthsAndAlphabets, GphtRollingHash,
+    ::testing::ValuesIn([] {
+        std::vector<RollCase> cases;
+        for (size_t depth : {1, 8, 16})
+            for (size_t a : {2, 6, 300})
+                cases.push_back({depth, a});
+        return cases;
+    }()),
+    [](const ::testing::TestParamInfo<RollCase> &info) {
+        return "d" + std::to_string(info.param.depth) + "_a" +
+            std::to_string(info.param.alphabet);
+    });
 
 } // namespace
 } // namespace livephase
