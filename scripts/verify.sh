@@ -33,9 +33,11 @@ BUILD_DIR="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 # The suites whose bugs are concurrency- or memory-shaped: service,
-# obs, admission (lock-free token buckets + controller thread), the
-# chaos/fault-injection tests, and the GPHT (its PHT arrays grow on
-# install, so index arithmetic runs at the array end). The GPHT
+# obs (the SeqRing seqlock shared by the flight recorder, tracer and
+# profiler, and their torn-read tests), admission (lock-free token
+# buckets + controller thread), the chaos/fault-injection tests,
+# and the GPHT (its PHT arrays grow on install, so index arithmetic
+# runs at the array end). The GPHT
 # suites live in test_core and, for GphtPersistence, test_analysis;
 # test_kernel and test_integration hold the Gpht governor and
 # paper-claim tests. The filter's words also match tests in the
@@ -48,7 +50,7 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 # tests here than in the plain build, rather than letting them drop
 # out unseen.
 SAN_TARGETS="test_service test_obs test_fault test_chaos test_admission test_core test_analysis test_kernel test_integration test_common test_cpu test_workload test_daq test_dtm test_sim"
-SAN_FILTER='Obs|FlightRecorder|Metrics|Histogram|Span|Runtime|Service|Session|Protocol|Exposition|Trace|Fault|Chaos|Ratekeeper|TagThrottler|QosSpec|Watchdog|TimeSeries|PhaseTelemetry|FlightDump|Profiler|Scrape|Gpht'
+SAN_FILTER='Obs|FlightRecorder|SeqRing|Metrics|Histogram|Span|Runtime|Service|Session|Protocol|Exposition|Trace|Fault|Chaos|Ratekeeper|TagThrottler|QosSpec|Watchdog|TimeSeries|PhaseTelemetry|FlightDump|Profiler|Scrape|Gpht'
 
 # Build $SAN_TARGETS into the sanitizer dir $1 and run the tests
 # SAN_FILTER selects, failing if that dir lists fewer of them than

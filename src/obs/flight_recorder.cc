@@ -1,6 +1,5 @@
 #include "obs/flight_recorder.hh"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -67,12 +66,7 @@ FlightRecorder::FieldArg::FieldArg(const char *k, double v)
     std::snprintf(value, sizeof(value), "%g", v);
 }
 
-FlightRecorder::FlightRecorder(size_t capacity) : cap(capacity)
-{
-    if (cap == 0)
-        fatal("FlightRecorder: capacity must be > 0");
-    slots = std::make_unique<Slot[]>(cap);
-}
+FlightRecorder::FlightRecorder(size_t capacity) : ring(capacity) {}
 
 FlightRecorder &
 FlightRecorder::global()
@@ -85,19 +79,12 @@ void
 FlightRecorder::record(Severity sev, const char *name,
                        std::initializer_list<FieldArg> fields)
 {
-    const uint64_t seq =
-        cursor.fetch_add(1, std::memory_order_relaxed);
-    Slot &slot = slots[seq % cap];
-
-    slot.version.store(2 * seq + 1, std::memory_order_release);
-    Event &ev = slot.event;
-    ev.seq = seq;
+    Event ev;
     ev.t_ns = sinceStartNs();
     ev.tid = threadId();
     ev.sev = sev;
     copyTruncated(ev.name, sizeof(ev.name), name);
     currentSpanPath(ev.span, sizeof(ev.span));
-    ev.nfields = 0;
     for (const FieldArg &field : fields) {
         if (ev.nfields >= MAX_FIELDS)
             break;
@@ -107,31 +94,18 @@ FlightRecorder::record(Severity sev, const char *name,
                     sizeof(field.value));
         ++ev.nfields;
     }
-    slot.version.store(2 * seq + 2, std::memory_order_release);
+    ring.push(ev);
 }
 
 std::vector<FlightRecorder::Event>
 FlightRecorder::snapshotEvents() const
 {
     std::vector<Event> events;
-    events.reserve(cap);
-    for (size_t i = 0; i < cap; ++i) {
-        const Slot &slot = slots[i];
-        const uint64_t v1 =
-            slot.version.load(std::memory_order_acquire);
-        if (v1 == 0 || v1 % 2 == 1)
-            continue; // never written, or mid-write
-        Event copy = slot.event;
-        const uint64_t v2 =
-            slot.version.load(std::memory_order_acquire);
-        if (v1 != v2)
-            continue; // overwritten while copying
-        events.push_back(copy);
-    }
-    std::sort(events.begin(), events.end(),
-              [](const Event &a, const Event &b) {
-                  return a.seq < b.seq;
-              });
+    events.reserve(ring.capacity());
+    ring.read([&events](uint64_t seq, const Event &ev) {
+        events.push_back(ev);
+        events.back().seq = seq;
+    });
     return events;
 }
 

@@ -6,9 +6,9 @@
  * The shape follows FoundationDB's trace-event discipline: the hot
  * path appends compact events (severity, monotonic timestamp,
  * thread id, active span path, up to 4 key=value fields) into a
- * preallocated ring with a single fetch_add claim and per-slot
- * seqlock publication — no locks, no allocation, old events simply
- * overwritten. When an error trips (malformed frame, socket
+ * preallocated obs::SeqRing (one fetch_add claim, a per-slot
+ * seqlock CAS and publish) — no locks, no allocation, old events
+ * simply overwritten. When an error trips (malformed frame, socket
  * desync, eviction storm, panic/fatal), the last N events are
  * dumped in order, giving the *lead-up* to the failure, not just
  * the failure line.
@@ -30,12 +30,12 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/runtime.hh"
+#include "obs/seq_ring.hh"
 
 namespace livephase::obs
 {
@@ -100,14 +100,14 @@ class FlightRecorder
     FlightRecorder(const FlightRecorder &) = delete;
     FlightRecorder &operator=(const FlightRecorder &) = delete;
 
-    /** Append one event (lock-free, wait-free but for the seqlock
-     *  publication stores). */
+    /** Append one event (lock-free; dropped, but still counted by
+     *  recorded(), when another writer holds its slot). */
     void record(Severity sev, const char *name,
                 std::initializer_list<FieldArg> fields = {});
 
     /**
      * Consistent best-effort copy of the ring, oldest first. Slots
-     * being concurrently overwritten are skipped.
+     * being concurrently written or overwritten are skipped.
      */
     std::vector<Event> snapshotEvents() const;
 
@@ -143,25 +143,12 @@ class FlightRecorder
     void resetDumpLatches();
 
     /** Events ever recorded (>= capacity() implies wraparound). */
-    uint64_t recorded() const
-    {
-        return cursor.load(std::memory_order_relaxed);
-    }
+    uint64_t recorded() const { return ring.recorded(); }
 
-    size_t capacity() const { return cap; }
+    size_t capacity() const { return ring.capacity(); }
 
   private:
-    struct Slot
-    {
-        /** Seqlock: 2*seq+1 while writing, 2*seq+2 when published,
-         *  0 when never written. */
-        std::atomic<uint64_t> version{0};
-        Event event;
-    };
-
-    size_t cap;
-    std::unique_ptr<Slot[]> slots;
-    std::atomic<uint64_t> cursor{0};
+    SeqRing<Event> ring;
 
     struct DumpLatch
     {

@@ -41,10 +41,10 @@
 
 /** The unwinder dereferences frame-pointer guesses inside the
  *  thread's stack bounds; under ASan those reads can land in
- *  redzones of unrelated locals, and under TSan the seqlock's plain
- *  sample fields look racy by design. Both are benign here and the
+ *  redzones of unrelated locals. That is benign here, and the
  *  handler cannot tolerate instrumentation calls, so the capture
- *  path opts out wholesale. */
+ *  path (ring push included, which is force-inlined) opts out
+ *  wholesale. */
 #if defined(__clang__) || defined(__GNUC__)
 #define LIVEPHASE_PROFILER_NOSAN                                     \
     __attribute__((no_sanitize("address", "thread", "undefined")))
@@ -252,7 +252,7 @@ struct Profiler::ThreadState
     Profiler *owner = nullptr;
     uint32_t obs_tid = 0;
     char name[16] = {};
-    std::shared_ptr<Ring> ring;
+    std::shared_ptr<SeqRing<StackSample>> ring;
 
 #if LIVEPHASE_PROFILER_LINUX
     pid_t tid = 0;
@@ -324,22 +324,11 @@ struct ProfilerSignalAccess
     LIVEPHASE_PROFILER_NOSAN static void
     capture(Profiler &p, Profiler::ThreadState &state, void *uctx)
     {
-        Profiler::Ring &ring = *state.ring;
-        const uint64_t seq =
-            ring.cursor.load(std::memory_order_relaxed);
-        Profiler::Slot &slot = ring.slots[seq % p.ring_slots];
-        slot.version.store(2 * seq + 1, std::memory_order_release);
-        StackSample &rec = slot.sample;
-        rec.t_ns = rawMonotonicNs();
-        rec.tid = state.obs_tid;
-        std::memcpy(rec.thread_name, state.name,
-                    sizeof rec.thread_name);
+        StackSample rec;
         rec.depth = static_cast<uint32_t>(unwindFromContext(
             uctx, state.stack_lo, state.stack_hi, rec.pc,
             StackSample::MAX_DEPTH));
-        slot.version.store(2 * seq + 2, std::memory_order_release);
-        ring.cursor.store(seq + 1, std::memory_order_release);
-        p.samples_total.fetch_add(1, std::memory_order_relaxed);
+        publish(p, state, rec);
 
         ProfilerSeries &series = profilerSeries();
         series.samples_total.inc();
@@ -365,29 +354,19 @@ struct ProfilerSignalAccess
     }
 #endif
 
-    /** Shared by recordSampleForTest: the handler's exact ring
-     *  write with a caller-supplied stack. */
-    static void
-    writeSynthetic(Profiler &p, Profiler::ThreadState &state,
-                   const uint64_t *pcs, size_t depth)
+    /** Stamp a sample and push it into the thread's ring; shared
+     *  with recordSampleForTest. Inlined into each caller, so it
+     *  takes the caller's sanitizer attributes: none in the SIGPROF
+     *  handler. */
+    [[gnu::always_inline]] static inline void
+    publish(Profiler &p, Profiler::ThreadState &state,
+            StackSample &rec)
     {
-        Profiler::Ring &ring = *state.ring;
-        const uint64_t seq =
-            ring.cursor.load(std::memory_order_relaxed);
-        Profiler::Slot &slot = ring.slots[seq % p.ring_slots];
-        slot.version.store(2 * seq + 1, std::memory_order_release);
-        StackSample &rec = slot.sample;
         rec.t_ns = rawMonotonicNs();
         rec.tid = state.obs_tid;
         std::memcpy(rec.thread_name, state.name,
                     sizeof rec.thread_name);
-        rec.depth = static_cast<uint32_t>(
-            std::min(depth, StackSample::MAX_DEPTH));
-        for (size_t i = 0; i < rec.depth; ++i) {
-            rec.pc[i] = pcs[i];
-        }
-        slot.version.store(2 * seq + 2, std::memory_order_release);
-        ring.cursor.store(seq + 1, std::memory_order_release);
+        state.ring->push(rec);
         p.samples_total.fetch_add(1, std::memory_order_relaxed);
     }
 };
@@ -553,7 +532,7 @@ Profiler::registerCurrentThread(const char *name)
     state->obs_tid = threadId();
     std::snprintf(state->name, sizeof state->name, "%s",
                   name != nullptr ? name : "thread");
-    state->ring = std::make_shared<Ring>(ring_slots);
+    state->ring = std::make_shared<SeqRing<StackSample>>(ring_slots);
 #if LIVEPHASE_PROFILER_LINUX
     state->tid = static_cast<pid_t>(syscall(SYS_gettid));
     if (pthread_getcpuclockid(pthread_self(),
@@ -710,38 +689,7 @@ Profiler::openCounters(ThreadState &state)
 std::vector<StackSample>
 Profiler::snapshot() const
 {
-    std::vector<std::shared_ptr<Ring>> copy;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        copy = rings;
-    }
-    std::vector<StackSample> out;
-    for (const auto &ring : copy) {
-        const uint64_t written =
-            ring->cursor.load(std::memory_order_acquire);
-        const uint64_t n =
-            std::min<uint64_t>(written, ring_slots);
-        for (uint64_t seq = written - n; seq < written; ++seq) {
-            const Slot &slot = ring->slots[seq % ring_slots];
-            const uint64_t v1 =
-                slot.version.load(std::memory_order_acquire);
-            if (v1 != 2 * seq + 2) {
-                continue; // mid-write or already overwritten
-            }
-            StackSample rec = slot.sample;
-            const uint64_t v2 =
-                slot.version.load(std::memory_order_acquire);
-            if (v1 != v2) {
-                continue;
-            }
-            out.push_back(rec);
-        }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const StackSample &a, const StackSample &b) {
-                  return a.t_ns < b.t_ns;
-              });
-    return out;
+    return snapshotRings(mu, rings, &StackSample::t_ns);
 }
 
 std::string
@@ -826,21 +774,7 @@ void
 Profiler::reset()
 {
     std::lock_guard<std::mutex> lock(mu);
-    for (auto &ring : rings) {
-        for (size_t i = 0; i < ring_slots; ++i) {
-            ring->slots[i].version.store(
-                0, std::memory_order_relaxed);
-        }
-        ring->cursor.store(0, std::memory_order_relaxed);
-    }
-    /* Retained rings whose threads have exited (sole reference is
-     * ours) have nothing left to say once emptied — drop them so
-     * thread churn does not accumulate rings. */
-    rings.erase(std::remove_if(rings.begin(), rings.end(),
-                               [](const std::shared_ptr<Ring> &r) {
-                                   return r.use_count() == 1;
-                               }),
-                rings.end());
+    resetRings(rings);
     samples_total.store(0, std::memory_order_relaxed);
     arm_failures.store(0, std::memory_order_relaxed);
 }
@@ -856,7 +790,11 @@ Profiler::recordSampleForTest(const uint64_t *pcs, size_t depth)
         registerCurrentThread("test");
         state = tlState();
     }
-    ProfilerSignalAccess::writeSynthetic(*this, *state, pcs, depth);
+    StackSample rec;
+    rec.depth =
+        static_cast<uint32_t>(std::min(depth, StackSample::MAX_DEPTH));
+    std::copy_n(pcs, rec.depth, rec.pc);
+    ProfilerSignalAccess::publish(*this, *state, rec);
 }
 
 bool

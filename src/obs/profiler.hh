@@ -9,12 +9,12 @@
  *     1/hz of *consumed* CPU — idle threads produce no samples,
  *     which is exactly the on-CPU semantic. The handler walks the
  *     frame-pointer chain out of the interrupted context into a
- *     lock-free per-thread ring (seqlock slot publication,
- *     drop-oldest — the flight-recorder/tracer idiom), so capture
- *     is async-signal-safe: no locks, no allocation, only atomics
- *     and bounded stack reads. Symbolization (dladdr + demangle)
- *     happens offline at snapshot/render time; export is folded
- *     stacks (flamegraph.pl input) or JSONL.
+ *     StackSample on its stack and pushes it into a per-thread
+ *     obs::SeqRing, so capture is async-signal-safe: no locks, no
+ *     allocation, only atomics and bounded stack reads.
+ *     Symbolization (dladdr + demangle) happens offline at
+ *     snapshot/render time; export is folded stacks (flamegraph.pl
+ *     input) or JSONL.
  *
  *  2. Real PMCs via perf_event_open: cycles, instructions and
  *     LLC misses per registered thread, read (a plain read(2),
@@ -54,6 +54,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/seq_ring.hh"
 
 namespace livephase::obs
 {
@@ -104,8 +106,8 @@ struct StackSample
 class Profiler
 {
   public:
-    /** Samples retained per thread before drop-oldest. ~400 B per
-     *  slot: 512 slots ≈ 0.2 MB per registered thread. */
+    /** Samples retained per thread before drop-oldest. 424 B per
+     *  slot: 512 slots ≈ 0.2 MiB per registered thread, once full. */
     static constexpr size_t DEFAULT_RING_SLOTS = 512;
 
     explicit Profiler(size_t ring_slots = DEFAULT_RING_SLOTS);
@@ -202,24 +204,6 @@ class Profiler
     void unregisterCurrentThread(uint64_t id);
 
   private:
-    struct Slot
-    {
-        /** Seqlock: 2*seq+1 while writing, 2*seq+2 published. */
-        std::atomic<uint64_t> version{0};
-        StackSample sample;
-    };
-
-    struct Ring
-    {
-        explicit Ring(size_t n)
-            : slots(std::make_unique<Slot[]>(n))
-        {
-        }
-
-        std::unique_ptr<Slot[]> slots;
-        std::atomic<uint64_t> cursor{0}; ///< owner thread writes
-    };
-
     friend struct ProfilerSignalAccess;
 
     bool armThread(ThreadState &state);
@@ -236,9 +220,7 @@ class Profiler
 
     mutable std::mutex mu; ///< thread registry + lifecycle
     std::vector<std::shared_ptr<ThreadState>> threads;
-    /** Rings outlive their threads so samples survive thread exit
-     *  (same retention story as the tracer's ring list). */
-    std::vector<std::shared_ptr<Ring>> rings;
+    SeqRings<StackSample> rings;
 };
 
 /**

@@ -128,7 +128,7 @@ Tracer::nextSpanId()
     return span_seq.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-Tracer::Ring &
+SeqRing<SpanRecord> &
 Tracer::threadRing()
 {
     // One ring per (tracer, thread), cached keyed by tracer_id —
@@ -141,7 +141,7 @@ Tracer::threadRing()
     struct Entry
     {
         uint64_t id = 0;
-        std::shared_ptr<Ring> ring;
+        std::shared_ptr<SeqRing<SpanRecord>> ring;
     };
     thread_local Entry last;
     thread_local std::vector<Entry> others;
@@ -152,7 +152,7 @@ Tracer::threadRing()
             std::swap(e, last);
             return *last.ring;
         }
-    auto ring = std::make_shared<Ring>(ring_spans);
+    auto ring = std::make_shared<SeqRing<SpanRecord>>(ring_spans);
     {
         std::lock_guard lock(rings_mu);
         rings.push_back(ring);
@@ -166,52 +166,14 @@ Tracer::threadRing()
 void
 Tracer::record(const SpanRecord &rec)
 {
-    Ring &ring = threadRing();
-    // Only the owning thread advances its ring cursor, so a plain
-    // load + store pair is race-free; the seqlock protects readers.
-    const uint64_t seq = ring.cursor.load(std::memory_order_relaxed);
-    Slot &slot = ring.slots[seq % ring_spans];
-    slot.version.store(2 * seq + 1, std::memory_order_release);
-    slot.rec = rec;
-    slot.version.store(2 * seq + 2, std::memory_order_release);
-    ring.cursor.store(seq + 1, std::memory_order_release);
+    threadRing().push(rec);
     total_recorded.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<SpanRecord>
 Tracer::snapshotSpans() const
 {
-    std::vector<std::shared_ptr<Ring>> held;
-    {
-        std::lock_guard lock(rings_mu);
-        held = rings;
-    }
-    std::vector<SpanRecord> spans;
-    for (const auto &ring : held) {
-        const uint64_t written =
-            ring->cursor.load(std::memory_order_acquire);
-        const size_t n = written < ring_spans
-            ? static_cast<size_t>(written)
-            : ring_spans;
-        for (size_t i = 0; i < n; ++i) {
-            const Slot &slot = ring->slots[i];
-            const uint64_t v1 =
-                slot.version.load(std::memory_order_acquire);
-            if (v1 == 0 || v1 % 2 == 1)
-                continue; // never written, or mid-write
-            SpanRecord copy = slot.rec;
-            const uint64_t v2 =
-                slot.version.load(std::memory_order_acquire);
-            if (v1 != v2)
-                continue; // overwritten while copying
-            spans.push_back(copy);
-        }
-    }
-    std::sort(spans.begin(), spans.end(),
-              [](const SpanRecord &a, const SpanRecord &b) {
-                  return a.start_ns < b.start_ns;
-              });
-    return spans;
+    return snapshotRings(rings_mu, rings, &SpanRecord::start_ns);
 }
 
 std::vector<SpanRecord>
@@ -230,12 +192,7 @@ void
 Tracer::reset()
 {
     std::lock_guard lock(rings_mu);
-    for (const auto &ring : rings) {
-        for (size_t i = 0; i < ring_spans; ++i)
-            ring->slots[i].version.store(0,
-                                         std::memory_order_relaxed);
-        ring->cursor.store(0, std::memory_order_relaxed);
-    }
+    resetRings(rings);
 }
 
 void

@@ -19,13 +19,11 @@
  *    so children parent correctly, and ScopedTrace installs a
  *    context received from elsewhere (the wire, a request queue).
  *
- * Completed spans go into fixed-size per-thread rings with seqlock
- * slot publication — the recording thread is the only writer of its
- * ring, so the hot path is store-only: no locks, no allocation, no
- * CAS. Readers (the query-traces op, the CLI) snapshot all rings
- * and skip slots mid-write. Overflow overwrites the oldest span in
- * that ring (drop-oldest; totalRecorded() minus the snapshot size
- * bounds the loss).
+ * Completed spans go into fixed-size per-thread obs::SeqRing rings:
+ * no locks, no allocation. Readers (the query-traces op, the CLI)
+ * snapshot all rings and skip slots mid-write. Overflow overwrites
+ * the oldest span in that ring (drop-oldest; totalRecorded() minus
+ * the snapshot size bounds the loss).
  *
  * Cost model: with no active context (unsampled request, or
  * tracing off) a TraceSpan is one thread-local load and a
@@ -39,10 +37,11 @@
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/seq_ring.hh"
 
 namespace livephase::obs
 {
@@ -157,7 +156,7 @@ class Tracer
 {
   public:
     /** Spans retained per recording thread before drop-oldest
-     *  (~290 B/slot: 2048 slots ≈ 0.6 MB per thread). */
+     *  (280 B/slot: 2048 slots ≈ 0.55 MiB per thread, once full). */
     static constexpr size_t DEFAULT_RING_SPANS = 2048;
 
     explicit Tracer(size_t ring_spans = DEFAULT_RING_SPANS);
@@ -202,32 +201,15 @@ class Tracer
         return total_recorded.load(std::memory_order_relaxed);
     }
 
-    /** Drop all retained spans (tests / between CLI phases). Only
-     *  safe while no thread is concurrently recording. */
+    /** Drop all retained spans, and the rings of threads that have
+     *  exited (tests / between CLI phases). Only safe while no
+     *  thread is concurrently recording. */
     void reset();
 
     size_t ringSpans() const { return ring_spans; }
 
   private:
-    struct Slot
-    {
-        /** Seqlock: 2*seq+1 while writing, 2*seq+2 published. */
-        std::atomic<uint64_t> version{0};
-        SpanRecord rec;
-    };
-
-    struct Ring
-    {
-        explicit Ring(size_t n)
-            : slots(std::make_unique<Slot[]>(n))
-        {
-        }
-
-        std::unique_ptr<Slot[]> slots;
-        std::atomic<uint64_t> cursor{0}; ///< owner thread writes
-    };
-
-    Ring &threadRing();
+    SeqRing<SpanRecord> &threadRing();
 
     /** Never reused, so a thread's ring cache can key on it without
      *  aliasing a destroyed tracer (see threadRing()). */
@@ -239,7 +221,7 @@ class Tracer
     std::atomic<uint64_t> total_recorded{0};
 
     mutable std::mutex rings_mu; ///< ring list (not ring contents)
-    std::vector<std::shared_ptr<Ring>> rings;
+    SeqRings<SpanRecord> rings;
 };
 
 /**

@@ -1,9 +1,12 @@
 /**
  * @file
  * Flight recorder tests: structured events, ring wraparound,
- * dump-on-error latching, and span context attached to events.
+ * dump-on-error latching, span context attached to events, and
+ * lapping writers that must never yield a torn event.
  */
 
+#include <atomic>
+#include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -152,6 +155,64 @@ TEST(FlightRecorder, TruncatesOverlongStringsSafely)
               FlightRecorder::NAME_LEN);
     EXPECT_EQ(std::string(events[0].fields[0].value).size(),
               FlightRecorder::VALUE_LEN);
+}
+
+/** True when every character of the event's name, keys and values
+ *  is `letter`, i.e. it was written by one writer alone. */
+bool
+uniform(const FlightRecorder::Event &e, char letter)
+{
+    auto all = [letter](const char *s, size_t len) {
+        return std::string(s) == std::string(len, letter);
+    };
+    if (e.nfields != FlightRecorder::MAX_FIELDS ||
+        !all(e.name, FlightRecorder::NAME_LEN))
+        return false;
+    for (const auto &f : e.fields)
+        if (!all(f.key, FlightRecorder::KEY_LEN) ||
+            !all(f.value, FlightRecorder::VALUE_LEN))
+            return false;
+    return true;
+}
+
+TEST(FlightRecorder, LappingWritersNeverYieldTornEvents)
+{
+    // One slot and four writers: every record laps the others, so a
+    // reader that accepts a slot two writers filled at once sees a
+    // mix of letters.
+    FlightRecorder rec(1);
+    constexpr int WRITERS = 4;
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < WRITERS; ++w) {
+        writers.emplace_back([&rec, &stop, w] {
+            const char letter = static_cast<char>('a' + w);
+            const std::string name(FlightRecorder::NAME_LEN, letter);
+            const std::string key(FlightRecorder::KEY_LEN, letter);
+            const std::string value(FlightRecorder::VALUE_LEN, letter);
+            const FlightRecorder::FieldArg field(key.c_str(), value);
+            while (!stop.load(std::memory_order_relaxed))
+                rec.record(Severity::Info, name.c_str(),
+                           {field, field, field, field});
+        });
+    }
+
+    uint64_t returned = 0, torn = 0;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (std::chrono::steady_clock::now() < until) {
+        for (const auto &e : rec.snapshotEvents()) {
+            ++returned;
+            if (!uniform(e, e.name[0]))
+                ++torn;
+        }
+    }
+    stop = true;
+    for (std::thread &t : writers)
+        t.join();
+
+    EXPECT_EQ(torn, 0u) << "of " << returned << " events returned";
+    EXPECT_GT(returned, 0u);
 }
 
 } // namespace

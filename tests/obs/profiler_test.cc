@@ -10,9 +10,11 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +72,43 @@ TEST(Profiler, RingOverflowDropsOldestKeepsNewest)
         EXPECT_STREQ(snap[i].thread_name, "test");
         EXPECT_NE(snap[i].tid, 0u);
     }
+}
+
+TEST(Profiler, SnapshotDuringSamplingIsNeverTorn)
+{
+    // Sample c has depth 1 + c % MAX_DEPTH and pc[i] = c * 256 + i;
+    // a small ring laps often while a reader copies it.
+    Profiler p(16);
+    std::atomic<bool> stop{false};
+    std::thread sampler([&p, &stop] {
+        uint64_t pcs[StackSample::MAX_DEPTH];
+        for (uint64_t c = 0; !stop.load(std::memory_order_relaxed);
+             ++c) {
+            for (size_t i = 0; i < StackSample::MAX_DEPTH; ++i)
+                pcs[i] = c * 256 + i;
+            p.recordSampleForTest(pcs, 1 + c % StackSample::MAX_DEPTH);
+        }
+    });
+
+    uint64_t returned = 0, torn = 0;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (std::chrono::steady_clock::now() < until) {
+        for (const StackSample &s : p.snapshot()) {
+            ++returned;
+            const uint64_t c = s.pc[0] / 256;
+            bool ok = s.depth == 1 + c % StackSample::MAX_DEPTH;
+            for (size_t i = 0; ok && i < s.depth; ++i)
+                ok = s.pc[i] == c * 256 + i;
+            if (!ok)
+                ++torn;
+        }
+    }
+    stop = true;
+    sampler.join();
+
+    EXPECT_EQ(torn, 0u) << "of " << returned << " samples returned";
+    EXPECT_GT(returned, 0u);
 }
 
 TEST(Profiler, OverDeepStacksClampToMaxDepth)

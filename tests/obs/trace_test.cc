@@ -10,6 +10,9 @@
  */
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/trace.hh"
+#include "test_util.hh"
 
 using namespace livephase;
 using namespace livephase::obs;
@@ -228,6 +232,90 @@ TEST(Trace, ResetClearsRetainedSpans)
     tracer.record(rec);
     ASSERT_EQ(tracer.snapshotSpans().size(), 1u);
     tracer.reset();
+    EXPECT_TRUE(tracer.snapshotSpans().empty());
+}
+
+/** A span whose every field is derived from `i`. */
+SpanRecord
+spanFromCounter(uint64_t i)
+{
+    SpanRecord rec;
+    rec.trace_id = i + 1;
+    rec.span_id = i + 2;
+    rec.parent_id = i + 3;
+    rec.start_ns = i;
+    rec.end_ns = i + 4;
+    rec.tid = static_cast<uint32_t>(i);
+    const char letter = static_cast<char>('a' + i % 26);
+    std::memset(rec.name, letter, SpanRecord::NAME_LEN);
+    rec.nannotations = SpanRecord::MAX_ANNOTATIONS;
+    for (auto &a : rec.annotations) {
+        std::memset(a.key, letter, TraceAnnotation::KEY_LEN);
+        std::memset(a.value, letter, TraceAnnotation::VALUE_LEN);
+    }
+    return rec;
+}
+
+TEST(Trace, SnapshotDuringRecordingIsNeverTorn)
+{
+    // A small ring laps often while a reader copies it.
+    Tracer tracer(16);
+    std::atomic<bool> stop{false};
+    std::thread writer([&tracer, &stop] {
+        for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i)
+            tracer.record(spanFromCounter(i));
+    });
+
+    uint64_t returned = 0, torn = 0;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (std::chrono::steady_clock::now() < until) {
+        for (const SpanRecord &s : tracer.snapshotSpans()) {
+            ++returned;
+            const SpanRecord want = spanFromCounter(s.start_ns);
+            if (std::memcmp(&s, &want, sizeof s) != 0)
+                ++torn;
+        }
+    }
+    stop = true;
+    writer.join();
+
+    EXPECT_EQ(torn, 0u) << "of " << returned << " spans returned";
+    EXPECT_GT(returned, 0u);
+}
+
+TEST(Trace, ResetDropsRingsOfExitedThreads)
+{
+    // Large rings keep the address-space signal far above thread
+    // noise; each thread writes one span, so backs one page.
+    constexpr size_t SPANS = 16384;
+    constexpr long RING_KIB = SPANS * (sizeof(SpanRecord) + 8) / 1024;
+    constexpr int THREADS = 8;
+    const auto recordOneSpan = [](Tracer &tracer) {
+        std::thread([&tracer] { tracer.record(spanFromCounter(0)); })
+            .join();
+    };
+    // Warm the thread stack cache and a malloc arena first, with a
+    // ring of a tracer that outlives the measurement.
+    Tracer warm(SPANS);
+    recordOneSpan(warm);
+
+    Tracer tracer(SPANS);
+    const long before = static_cast<long>(test::procStatusKib("VmSize"));
+    for (int t = 0; t < THREADS; ++t)
+        recordOneSpan(tracer);
+    const long with_rings =
+        static_cast<long>(test::procStatusKib("VmSize")) - before;
+    ASSERT_GE(with_rings, THREADS * RING_KIB * 3 / 4)
+        << "each exited thread's ring is still held before reset()";
+    ASSERT_EQ(tracer.snapshotSpans().size(), size_t{THREADS});
+
+    tracer.reset();
+    const long after =
+        static_cast<long>(test::procStatusKib("VmSize")) - before;
+    EXPECT_LT(after, RING_KIB)
+        << "reset() kept " << after << " KiB of " << with_rings
+        << " KiB mapped; one ring is " << RING_KIB << " KiB";
     EXPECT_TRUE(tracer.snapshotSpans().empty());
 }
 

@@ -11,6 +11,7 @@
 #ifndef LIVEPHASE_TESTS_TEST_UTIL_HH
 #define LIVEPHASE_TESTS_TEST_UTIL_HH
 
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -59,6 +60,27 @@ class ScopedFailureCapture
         throw Failure(message, is_panic);
     }
 };
+
+/** One `<field>: N kB` line of /proc/self/status (RssAnon, VmSize),
+ *  in KiB; 0 when unreadable. */
+inline size_t
+procStatusKib(const char *field)
+{
+    FILE *status = std::fopen("/proc/self/status", "r");
+    if (status == nullptr)
+        return 0;
+    const std::string prefix = std::string(field) + ":";
+    char line[256];
+    size_t kib = 0;
+    while (std::fgets(line, sizeof(line), status) != nullptr)
+        if (prefix.compare(0, prefix.size(), line, prefix.size()) ==
+            0) {
+            std::sscanf(line + prefix.size(), "%zu", &kib);
+            break;
+        }
+    std::fclose(status);
+    return kib;
+}
 
 } // namespace livephase::test
 
